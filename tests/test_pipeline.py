@@ -145,3 +145,28 @@ def test_canonical_manifest_ignores_timestamp(catalog, tmp_path):
                                     seed=9), catalog=catalog)
     assert canonical_manifest_bytes(a / MANIFEST_NAME) == \
         canonical_manifest_bytes(b / MANIFEST_NAME)
+
+
+# Template run_pipeline on the demo catalog (seed 0), synth seed 42, 6 records.
+# Pinned so that any change to RNG draw order, step semantics, clip ingest,
+# rendering, export or manifest layout shows up as a different digest.
+GOLDEN_DIGEST_6 = \
+    "c55e0cf9814bdc4b5db4b3b29512d78b93c842012a7c69dd238a758bad5499b6"
+
+
+def test_run_pipeline_golden_digest(catalog, catalog_root, tmp_path):
+    import hashlib
+
+    run_pipeline(PipelineConfig(record_count=6, output_dir=str(tmp_path),
+                                seed=42), catalog=catalog)
+    manifest = canonical_manifest_bytes(tmp_path / MANIFEST_NAME)
+    root = json.dumps(str(catalog_root))[1:-1].encode()
+    h = hashlib.sha256(manifest.replace(root, b"<catalog>"))
+    for wav in sorted((tmp_path / "audio").glob("*.wav")):
+        h.update(wav.name.encode())
+        h.update(wav.read_bytes())
+    steps = {meta["step"].split(" the sound")[0]
+             for row in read_manifest(tmp_path / MANIFEST_NAME)
+             for meta in row["per_step_meta"]}
+    assert {"Remove", "Turn up", "Turn down", "Change", "Add"} <= steps
+    assert h.hexdigest() == GOLDEN_DIGEST_6
