@@ -102,15 +102,58 @@ def test_serialize_parse_roundtrip_fuzz():
     for _ in range(1000):
         step = _random_step(rng)
         assert parse_step(serialize_step(step)) == step
+        plan = EditPlan(instruction="", sound_sources=(), steps=(step,))
+        assert parse_plan_json(plan_to_json(plan)).steps == (step,)
+
+
+# (step, template sentence, JSON operation, JSON effect) for every operation,
+# with and without each optional part.
+CANONICAL_FORMS = [
+    (Add(label="rooster crowing", direction=Direction.RIGHT, gain_db=3.0),
+     "Add the sound of rooster crowing at right with 3 db",
+     "add", "at right by 3dB"),
+    (Add(label="rain"), "Add the sound of rain", "add", "None"),
+    (Add(label="rain", direction=Direction.LEFT),
+     "Add the sound of rain at left", "add", "at left"),
+    (Add(label="rain", gain_db=2.5),
+     "Add the sound of rain with 2.5 db", "add", "by 2.5dB"),
+    (Remove(label="rain"), "Remove the sound of rain", "remove", "None"),
+    (Remove(label="rain", direction=Direction.FRONT),
+     "Remove the sound of rain at front", "remove", "at front"),
+    (Extract(label="dog bark"), "Extract the sound of dog bark",
+     "extract", "None"),
+    (Extract(label="dog bark", direction=Direction.LEFT),
+     "Extract the sound of dog bark at left", "extract", "at left"),
+    (TurnUp(label="engine rev", delta_db=2.0),
+     "Turn up the sound of engine rev by 2 dB", "turn up", "2dB"),
+    (TurnUp(label="engine rev", delta_db=0.5),
+     "Turn up the sound of engine rev by 0.5 dB", "turn up", "0.5dB"),
+    (TurnDown(label="engine rev", delta_db=3.0),
+     "Turn down the sound of engine rev by 3 dB", "turn down", "3dB"),
+    (TurnDown(label="engine rev", delta_db=2.5),
+     "Turn down the sound of engine rev by 2.5 dB", "turn down", "2.5dB"),
+    (Change(label="bird call", to=Direction.FRONT),
+     "Change the sound of bird call to front", "change", "to front"),
+    (Change(label="bird call", from_=Direction.LEFT, to=Direction.RIGHT),
+     "Change the sound of bird call from left to right",
+     "change", "from left to right"),
+]
 
 
 def test_serialize_canonical_forms():
-    assert serialize_step(Add(label="rooster crowing",
-                              direction=Direction.RIGHT, gain_db=3.0)) == \
-        "Add the sound of rooster crowing at right with 3 db"
-    assert serialize_step(Remove(label="rain")) == "Remove the sound of rain"
-    assert serialize_step(TurnUp(label="engine rev", delta_db=2.0)) == \
-        "Turn up the sound of engine rev by 2 dB"
+    for step, text, operation, effect in CANONICAL_FORMS:
+        assert serialize_step(step) == text
+        assert parse_step(text) == step
+        plan = EditPlan(instruction="make it so", sound_sources=("rain",),
+                        steps=(step,))
+        assert plan_to_json(plan) == {
+            "sound sources": ["rain"],
+            "complex editing instruction": "make it so",
+            "atomic editing steps": [{"operation": operation,
+                                      "target": step.label,
+                                      "effect": effect}],
+        }
+        assert parse_plan_json(plan_to_json(plan)).steps == (step,)
 
 
 def test_plan_text_roundtrip():
