@@ -7,7 +7,7 @@ converted on ingest and export only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from math import gcd
 
 import numpy as np
@@ -18,7 +18,7 @@ from .errors import SilentClip, UnreadableFile, UnsupportedFormat
 
 SAMPLE_RATE = 24000
 CANONICAL_SECONDS = 10.0
-CANONICAL_SAMPLES = 240000
+CLIP_REFERENCE_DBFS = -20.0
 
 # Polyphase resampler: windowed-sinc, 64 taps per phase, Kaiser beta 8.6.
 _TAPS_PER_PHASE = 64
@@ -94,9 +94,10 @@ class AudioBuffer:
 
 
 def read_wav(path) -> tuple[int, np.ndarray]:
-    """Read a PCM/float WAV into float64 in [-1, 1], shape (n,) or (n, ch)."""
+    """Read a PCM/float WAV (a path or a binary file object) into float64 in
+    [-1, 1], shape (n,) or (n, ch)."""
     try:
-        rate, data = wavfile.read(str(path))
+        rate, data = wavfile.read(path)
     except FileNotFoundError as exc:
         raise UnreadableFile(f"file not found: {path}") from exc
     except ValueError as exc:
@@ -116,9 +117,10 @@ def read_wav(path) -> tuple[int, np.ndarray]:
 
 
 def write_wav(path, buffer: AudioBuffer) -> None:
-    """Export as stereo float32 WAV at the internal rate."""
+    """Export as stereo float32 WAV at the internal rate to a path or a
+    binary file object."""
     data = buffer.samples.T.astype(np.float32)
-    wavfile.write(str(path), buffer.sample_rate_hz, data)
+    wavfile.write(path, buffer.sample_rate_hz, data)
 
 
 def resample(samples: np.ndarray, from_rate: int, to_rate: int = SAMPLE_RATE) -> np.ndarray:
@@ -157,9 +159,7 @@ def fit_duration(clip: SourceClip, target_seconds: float = CANONICAL_SECONDS) ->
         samples = samples[:n]
     else:
         samples = np.concatenate([samples, np.zeros(n - len(samples))])
-    return SourceClip(label=clip.label, samples=samples,
-                      sample_rate_hz=clip.sample_rate_hz,
-                      origin_path=clip.origin_path)
+    return replace(clip, samples=samples)
 
 
 def normalize_rms(clip: SourceClip, target_dbfs: float = -20.0) -> SourceClip:
@@ -168,6 +168,11 @@ def normalize_rms(clip: SourceClip, target_dbfs: float = -20.0) -> SourceClip:
     if rms == 0.0:
         raise SilentClip(f"all-zero clip: {clip.label!r}")
     factor = 10.0 ** (target_dbfs / 20.0) / rms
-    return SourceClip(label=clip.label, samples=clip.samples * factor,
-                      sample_rate_hz=clip.sample_rate_hz,
-                      origin_path=clip.origin_path)
+    return replace(clip, samples=clip.samples * factor)
+
+
+def prepare_clip(clip: SourceClip, duration_seconds: float) -> SourceClip:
+    """The treatment every scene event's clip gets: fit to the scene
+    duration, then RMS-normalize to CLIP_REFERENCE_DBFS."""
+    return normalize_rms(fit_duration(clip, duration_seconds),
+                         CLIP_REFERENCE_DBFS)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .audio import SourceClip, load_clip
-from .errors import CatalogMiss, EmptyCatalog, StereoEditError
+from .errors import CatalogMiss, EmptyCatalog
 from .plans import normalize_label
 
 log = logging.getLogger(__name__)

@@ -22,8 +22,7 @@ from .catalog import build_catalog
 from .demo import build_demo_catalog
 from .engine import (HttpEditorAdapter, OracleEditor, SubprocessEditorAdapter,
                      execute_plan)
-from .errors import (AdapterProtocolError, AdapterTimeout, JsonSyntaxError,
-                     ParseError, SchemaError, StereoEditError)
+from .errors import JsonSyntaxError, ParseError, SchemaError, StereoEditError
 from .metrics import gcc_mse, lsd, roundtrip_drift
 from .pipeline import (PipelineConfig, canonical_manifest_bytes, read_manifest,
                        run_pipeline, scene_from_json)
@@ -125,7 +124,7 @@ def cmd_edit(args) -> int:
     catalog = build_catalog(args.catalog) if args.catalog else None
     rng = random.Random(_resolve_seed(args))
     try:
-        trajectory = execute_plan(scene, plan, catalog=catalog, rng=rng)
+        trajectory, _ = execute_plan(scene, plan, catalog=catalog, rng=rng)
     except StereoEditError as exc:
         raise CliError(f"engine error: {exc}", EXIT_ENGINE)
 
@@ -146,8 +145,7 @@ def cmd_edit(args) -> int:
 
 def cmd_parse(args) -> int:
     plan = _load_plan(args.plan_file)
-    labels = plan.sound_sources
-    report = validate_plan(plan, labels)
+    report = validate_plan(plan, plan.sound_sources)
     output = {
         "plan": plan_to_json(plan),
         "warnings": list(plan.warnings),
@@ -240,8 +238,7 @@ def _make_editor(spec: str, args):
         return SubprocessEditorAdapter(shlex.split(rest), work_dir=work,
                                        timeout_s=args.timeout)
     if kind == "http":
-        work = Path(args.work_dir or "editor_work")
-        return HttpEditorAdapter(rest, work_dir=work, timeout_s=args.timeout)
+        return HttpEditorAdapter(rest, timeout_s=args.timeout)
     raise CliError(f"unknown editor spec {spec!r}; use oracle:/subprocess:/http:",
                    EXIT_SCHEMA)
 
@@ -249,12 +246,11 @@ def _make_editor(spec: str, args):
 def cmd_roundtrip(args) -> int:
     editor = _make_editor(args.editor_spec, args)
     audio = _read_buffer(args.audio)
-    catalog = build_catalog(args.catalog) if args.catalog else None
     try:
-        result = roundtrip_drift(editor, audio, args.label, catalog=catalog,
+        result = roundtrip_drift(editor, audio, args.label,
                                  rounds=args.rounds, csv_path=args.csv,
                                  editor_id=args.editor_spec)
-    except (AdapterTimeout, AdapterProtocolError, StereoEditError) as exc:
+    except StereoEditError as exc:
         raise CliError(f"editor error: {exc}", EXIT_ENGINE)
     for i, value in enumerate(result.lsd_per_round, 1):
         print(f"round {i}: lsd {value:.9g}")
@@ -288,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="global RNG seed (drawn and printed if absent)")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--log-level", default="warning",
-                        help="debug|info|warning|error|json")
+    parser.add_argument("--log-level", default=None,
+                        help="debug|info|warning|error|json (default warning)")
     parser.add_argument("--config", default=None,
                         help="TOML or JSON file with default option values")
 
@@ -349,38 +345,27 @@ def _merge_config(args) -> None:
     if not args.config:
         return
     data = _load_config_file(args.config)
-    for key in ("seed", "workers", "log_level"):
-        if getattr(args, key, None) in (None, "warning") and key in data:
-            setattr(args, key, data[key])
     for key, value in data.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    json_errors = args.log_level == "json"
-    level = "warning" if json_errors else args.log_level
-    logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
-
+    args = build_parser().parse_args(argv)
     try:
+        # the config file may set log_level, so merge it before reading that
         _merge_config(args)
+        level = (args.log_level or "warning").upper()
+        logging.basicConfig(level=getattr(logging, level, logging.WARNING))
         return args.func(args)
-    except CliError as exc:
-        if json_errors:
-            print(json.dumps({"error": str(exc), "exit_code": exc.exit_code}),
+    except (CliError, StereoEditError) as exc:
+        code = getattr(exc, "exit_code", EXIT_ENGINE)
+        if args.log_level == "json":
+            print(json.dumps({"error": str(exc), "exit_code": code}),
                   file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except StereoEditError as exc:
-        if json_errors:
-            print(json.dumps({"error": str(exc), "exit_code": EXIT_ENGINE}),
-                  file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
+        return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import logging
 import os
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import (AuthFailure, EndpointUnreachable, MalformedResponse,
@@ -182,13 +182,11 @@ def design_plan_template(scene_labels, rng: random.Random,
     mod_targets = rng.sample(remaining, n_mods)
     mods = []
     for target in mod_targets:
-        kind = rng.choice(("turn_up", "turn_down", "change"))
-        if kind == "turn_up":
-            mods.append(TurnUp(label=target, delta_db=float(rng.randint(1, 6))))
-        elif kind == "turn_down":
-            mods.append(TurnDown(label=target, delta_db=float(rng.randint(1, 6))))
-        else:
+        kind = rng.choice((TurnUp, TurnDown, Change))
+        if kind is Change:
             mods.append(Change(label=target, to=rng.choice(_DIRECTIONS)))
+        else:
+            mods.append(kind(label=target, delta_db=float(rng.randint(1, 6))))
 
     add_candidates = [a for a in theme.compatible_add_labels
                       if normalize_label(a) not in scene_keys]
@@ -293,10 +291,8 @@ def _parse_content(content: str, expect_list: bool):
         data = json.loads(body)
     except json.JSONDecodeError as exc:
         raise MalformedResponse(f"response is not JSON: {exc}") from exc
-    if expect_list:
-        if not isinstance(data, list):
-            raise MalformedResponse("expected a JSON array of plans")
-        return data
+    if expect_list and not isinstance(data, list):
+        raise MalformedResponse("expected a JSON array of plans")
     return data
 
 
@@ -333,7 +329,6 @@ def design_plan_llm(scene_labels_batch, config: DesignerConfig,
     failures: dict = {}
     retry_counts: dict = {i: 0 for i in range(len(batch))}
     pending_error: dict = {}
-    pending = list(range(len(batch)))
 
     # initial pass, chunked by batch_size
     for start in range(0, len(batch), max(1, config.batch_size)):
@@ -360,12 +355,11 @@ def design_plan_llm(scene_labels_batch, config: DesignerConfig,
         for i, obj in zip(chunk, objs):
             try:
                 plans[i] = _plan_from_obj(obj, batch[i])
-                pending.remove(i)
             except Exception as exc:
                 pending_error[i] = exc
 
     # individual retries
-    for i in list(pending):
+    for i in range(len(batch)):
         if plans[i] is not None:
             continue
         last_error = pending_error.get(i)

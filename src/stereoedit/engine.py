@@ -10,24 +10,19 @@ subprocess or HTTP adapters.
 from __future__ import annotations
 
 import base64
-import json
-import logging
+import io
 import random
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .audio import AudioBuffer, fit_duration, normalize_rms, read_wav, write_wav
+from .audio import AudioBuffer, prepare_clip, read_wav, write_wav
 from .catalog import Catalog, retrieve_clip
 from .errors import (AdapterProtocolError, AdapterTimeout, AmbiguousTarget,
                      EmptySceneResult, TargetNotFound)
 from .plans import (Add, AtomicStep, Change, EditPlan, Extract, Remove,
                     TurnDown, TurnUp, normalize_label, serialize_step)
 from .spatial import Direction, EventSpec, Scene, render_scene
-
-log = logging.getLogger(__name__)
-
-CLIP_REFERENCE_DBFS = -20.0
 
 
 @dataclass(frozen=True)
@@ -57,6 +52,20 @@ def _require_one(scene: Scene, label: str, direction: Direction | None) -> Event
     return next(e for e in scene.events if e.event_id == ids[0])
 
 
+def _swap(events, target: EventSpec, new: EventSpec):
+    return tuple(new if e.event_id == target.event_id else e for e in events)
+
+
+# How each step type but Add rewrites the scene's events around its target.
+_REWRITES = {
+    Remove: lambda ev, t, s: tuple(e for e in ev if e.event_id != t.event_id),
+    Extract: lambda ev, t, s: (t,),
+    TurnUp: lambda ev, t, s: _swap(ev, t, replace(t, gain_db=t.gain_db + s.delta_db)),
+    TurnDown: lambda ev, t, s: _swap(ev, t, replace(t, gain_db=t.gain_db - s.delta_db)),
+    Change: lambda ev, t, s: _swap(ev, t, replace(t, direction=s.to)),
+}
+
+
 def apply_step(scene: Scene, step: AtomicStep,
                catalog: Catalog | None = None,
                rng: random.Random | None = None) -> EditOutcome:
@@ -65,46 +74,25 @@ def apply_step(scene: Scene, step: AtomicStep,
         if catalog is None:
             raise ValueError("Add steps require a catalog")
         clip = retrieve_clip(catalog, step.label, rng or random.Random(0))
-        clip = normalize_rms(fit_duration(clip, scene.duration_seconds),
-                             CLIP_REFERENCE_DBFS)
-        event = EventSpec(event_id=scene.next_event_id(),
-                          label=step.label,
-                          clip=clip,
-                          direction=step.direction or Direction.FRONT,
-                          gain_db=step.gain_db if step.gain_db is not None else 0.0)
-        after = Scene(scene.events + (event,), scene.duration_seconds)
-        return EditOutcome(after, render_scene(after), (event.event_id,))
-
-    if isinstance(step, Remove):
-        target = _require_one(scene, step.label, step.direction)
-        remaining = tuple(e for e in scene.events if e.event_id != target.event_id)
-        if not remaining:
+        edited = EventSpec(event_id=scene.next_event_id(),
+                           label=step.label,
+                           clip=prepare_clip(clip, scene.duration_seconds),
+                           direction=step.direction or Direction.FRONT,
+                           gain_db=step.gain_db if step.gain_db is not None else 0.0)
+        events = scene.events + (edited,)
+    else:
+        rewrite = _REWRITES.get(type(step))
+        if rewrite is None:
+            raise TypeError(f"unknown step type: {type(step).__name__}")
+        # Remove's and Extract's direction, and Change's from_, narrow the target
+        qualifier = getattr(step, "from_", getattr(step, "direction", None))
+        edited = _require_one(scene, step.label, qualifier)
+        events = rewrite(scene.events, edited, step)
+        if not events:
             raise EmptySceneResult(
                 f"removing {step.label!r} would leave an empty scene")
-        after = Scene(remaining, scene.duration_seconds)
-        return EditOutcome(after, render_scene(after), (target.event_id,))
-
-    if isinstance(step, Extract):
-        target = _require_one(scene, step.label, step.direction)
-        after = Scene((target,), scene.duration_seconds)
-        return EditOutcome(after, render_scene(after), (target.event_id,))
-
-    if isinstance(step, (TurnUp, TurnDown)):
-        target = _require_one(scene, step.label, None)
-        delta = step.delta_db if isinstance(step, TurnUp) else -step.delta_db
-        updated = target.with_gain(target.gain_db + delta)
-        after = Scene(tuple(updated if e.event_id == target.event_id else e
-                            for e in scene.events), scene.duration_seconds)
-        return EditOutcome(after, render_scene(after), (target.event_id,))
-
-    if isinstance(step, Change):
-        target = _require_one(scene, step.label, step.from_)
-        updated = target.with_direction(step.to)
-        after = Scene(tuple(updated if e.event_id == target.event_id else e
-                            for e in scene.events), scene.duration_seconds)
-        return EditOutcome(after, render_scene(after), (target.event_id,))
-
-    raise TypeError(f"unknown step type: {type(step).__name__}")
+    after = Scene(events, scene.duration_seconds)
+    return EditOutcome(after, render_scene(after), (edited.event_id,))
 
 
 def execute_plan(scene: Scene, plan: EditPlan,
@@ -112,10 +100,12 @@ def execute_plan(scene: Scene, plan: EditPlan,
                  rng: random.Random | None = None):
     """Run all steps sequentially.
 
-    Returns the trajectory [(scene_0, audio_0), ..., (scene_n, audio_n)];
-    element 0 is the untouched initial scene.
+    Returns the trajectory [(scene_0, audio_0), ..., (scene_n, audio_n)],
+    whose element 0 is the untouched initial scene, and the event ids each
+    step edited.
     """
     trajectory = [(scene, render_scene(scene))]
+    edited_ids = []
     current = scene
     for i, step in enumerate(plan.steps):
         try:
@@ -125,7 +115,8 @@ def execute_plan(scene: Scene, plan: EditPlan,
             raise
         current = outcome.scene_after
         trajectory.append((current, outcome.audio_after))
-    return trajectory
+        edited_ids.append(list(outcome.edited_event_ids))
+    return trajectory, edited_ids
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +145,10 @@ class OracleEditor(Editor):
         return outcome.audio_after
 
 
-def _check_adapter_output(audio_before: AudioBuffer, path: Path) -> AudioBuffer:
-    if not path.is_file():
-        raise AdapterProtocolError(f"editor produced no output file at {path}")
+def _check_adapter_output(audio_before: AudioBuffer, wav) -> AudioBuffer:
+    """Validate an editor's output WAV (a path or a binary file object)."""
     try:
-        rate, data = read_wav(path)
+        rate, data = read_wav(wav)
     except Exception as exc:
         raise AdapterProtocolError(f"unreadable editor output: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2:
@@ -169,7 +159,10 @@ def _check_adapter_output(audio_before: AudioBuffer, path: Path) -> AudioBuffer:
     if data.shape[0] != audio_before.num_samples:
         raise AdapterProtocolError(
             f"editor output length {data.shape[0]} != {audio_before.num_samples}")
-    return AudioBuffer(data.T)
+    try:
+        return AudioBuffer(data.T)
+    except ValueError as exc:  # non-finite samples
+        raise AdapterProtocolError(f"invalid editor output: {exc}") from exc
 
 
 class SubprocessEditorAdapter(Editor):
@@ -215,22 +208,19 @@ class HttpEditorAdapter(Editor):
     """POSTs {"step": text, "audio_b64": <float32 wav>} and expects the same
     shape back under "audio_b64"."""
 
-    def __init__(self, url: str, work_dir, timeout_s: float = 60.0, session=None):
+    def __init__(self, url: str, timeout_s: float = 60.0, session=None):
         import requests
 
         self.url = url
-        self.work_dir = Path(work_dir)
         self.timeout_s = timeout_s
         self.session = session or requests.Session()
 
     def edit(self, audio_before: AudioBuffer, step: AtomicStep) -> AudioBuffer:
-        self.work_dir.mkdir(parents=True, exist_ok=True)
-        input_path = self.work_dir / "input.wav"
-        output_path = self.work_dir / "output.wav"
-        write_wav(input_path, audio_before)
+        wav = io.BytesIO()
+        write_wav(wav, audio_before)
         payload = {
             "step": serialize_step(step),
-            "audio_b64": base64.b64encode(input_path.read_bytes()).decode("ascii"),
+            "audio_b64": base64.b64encode(wav.getvalue()).decode("ascii"),
         }
         try:
             resp = self.session.post(self.url, json=payload, timeout=self.timeout_s)
@@ -239,9 +229,7 @@ class HttpEditorAdapter(Editor):
         if resp.status_code != 200:
             raise AdapterProtocolError(f"editor endpoint returned {resp.status_code}")
         try:
-            body = resp.json()
-            wav_bytes = base64.b64decode(body["audio_b64"])
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            wav_bytes = base64.b64decode(resp.json()["audio_b64"])
+        except (ValueError, KeyError, TypeError) as exc:
             raise AdapterProtocolError(f"malformed editor response: {exc}") from exc
-        output_path.write_bytes(wav_bytes)
-        return _check_adapter_output(audio_before, output_path)
+        return _check_adapter_output(audio_before, io.BytesIO(wav_bytes))

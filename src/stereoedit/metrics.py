@@ -9,13 +9,11 @@ inputs never produce NaN.
 from __future__ import annotations
 
 import csv
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import AudioBuffer
-from .catalog import Catalog
 from .engine import Editor
 from .errors import LengthMismatch, NoVoicedFrames
 from .plans import Add, Remove
@@ -158,8 +156,8 @@ class RoundTripResult:
 
 
 def roundtrip_drift(editor: Editor, audio: AudioBuffer, pseudo_label: str,
-                    catalog: Catalog | None = None, rounds: int = 5,
-                    csv_path=None, editor_id: str = "editor") -> RoundTripResult:
+                    rounds: int = 5, csv_path=None,
+                    editor_id: str = "editor") -> RoundTripResult:
     """Add-then-remove the same pseudo label repeatedly and track LSD drift
     against the original audio after each round."""
     add = Add(label=pseudo_label)

@@ -17,23 +17,20 @@ import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from .audio import (SAMPLE_RATE, AudioBuffer, fit_duration, load_clip,
-                    normalize_rms, write_wav)
-from .catalog import Catalog, build_catalog, retrieve_clip
+from .audio import AudioBuffer, load_clip, prepare_clip, write_wav
+from .catalog import Catalog, build_catalog
 from .designer import (DesignerConfig, DesignerMode, design_plan_llm,
                        design_plan_template)
-from .engine import CLIP_REFERENCE_DBFS, apply_step
+from .engine import execute_plan
 from .errors import (EmptyCatalog, FailureBudgetExceeded,
-                     OutputDirNotWritable, StereoEditError, ValidationFailed)
-from .plans import (EditPlan, canonicalize_plan, parse_plan_json,
-                    plan_to_json, serialize_step, validate_plan)
-from .spatial import Direction, EventSpec, Scene, render_scene
+                     OutputDirNotWritable, ValidationFailed)
+from .plans import (EditPlan, canonicalize_plan, plan_to_json,
+                    serialize_step, validate_plan)
+from .spatial import Direction, EventSpec, Scene
 
 log = logging.getLogger(__name__)
 
@@ -115,13 +112,10 @@ def sample_scene(catalog: Catalog, rng: random.Random,
     events = []
     for i, label in enumerate(chosen):
         path = rng.choice(catalog.entries[label])
-        clip = normalize_rms(
-            fit_duration(load_clip(path, label), duration_seconds),
-            CLIP_REFERENCE_DBFS)
         events.append(EventSpec(
             event_id=f"e{i}",
             label=label,
-            clip=clip,
+            clip=prepare_clip(load_clip(path, label), duration_seconds),
             direction=rng.choice((Direction.LEFT, Direction.FRONT,
                                   Direction.RIGHT)),
             gain_db=rng.uniform(*SCENE_GAIN_RANGE_DB)))
@@ -146,13 +140,10 @@ def scene_from_json(data: dict) -> Scene:
     duration = float(data.get("duration_seconds", 10.0))
     events = []
     for i, ev in enumerate(data["events"]):
-        clip = normalize_rms(
-            fit_duration(load_clip(ev["clip_path"], ev["label"]), duration),
-            CLIP_REFERENCE_DBFS)
         events.append(EventSpec(
             event_id=str(ev.get("event_id", f"e{i}")),
             label=str(ev["label"]),
-            clip=clip,
+            clip=prepare_clip(load_clip(ev["clip_path"], ev["label"]), duration),
             direction=Direction.from_text(ev["direction"]),
             gain_db=float(ev["gain_db"])))
     return Scene(tuple(events), duration)
@@ -184,18 +175,7 @@ def build_trajectory(catalog: Catalog, config: PipelineConfig, index: int):
             "; ".join(f"{v.rule_id}: {v.message}" for v in report.violations))
     plan = canonicalize_plan(plan)
 
-    trajectory = [(scene, render_scene(scene))]
-    edited_ids = []
-    current = scene
-    for i, step in enumerate(plan.steps):
-        try:
-            outcome = apply_step(current, step, catalog=catalog, rng=rng)
-        except Exception as exc:
-            exc.args = (f"step {i} ({serialize_step(step)}): {exc}",)
-            raise
-        current = outcome.scene_after
-        trajectory.append((current, outcome.audio_after))
-        edited_ids.append(list(outcome.edited_event_ids))
+    trajectory, edited_ids = execute_plan(scene, plan, catalog=catalog, rng=rng)
     return scene, plan, trajectory, edited_ids
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import JsonSyntaxError, ParseError, SchemaError
 from .spatial import Direction
@@ -31,9 +32,30 @@ def normalize_label(label: str) -> str:
 # Atomic steps
 # ---------------------------------------------------------------------------
 
+_DIR = "left|front|right"
+_NUM = r"[-+]?\d+(?:\.\d+)?"
+
+
+def _pattern(text: str) -> re.Pattern:
+    return re.compile(text, re.IGNORECASE)
+
+
 @dataclass(frozen=True)
 class AtomicStep:
+    """Base of the six step types. Each describes both surface forms of
+    itself in the class attributes below. Patterns have one named group per
+    field; an emitted fragment is dropped when the field it names is None."""
+
     label: str
+
+    operation: ClassVar[str]  # JSON operation; the template's leading words
+    aliases: ClassVar[tuple[str, ...]] = ()  # more JSON operations accepted
+    group: ClassVar[int]  # canonical order: 0 remove/extract, 1 modify, 2 add
+    template: ClassVar[re.Pattern]
+    hint: ClassVar[str]  # the template shape quoted by parse errors
+    pieces: ClassVar[tuple[str, ...]]  # after "<Operation> the sound of <label>"
+    effect: ClassVar[re.Pattern]  # an empty effect is accepted iff it matches
+    effect_pieces: ClassVar[tuple[str, ...]]  # space-joined; "None" if none
 
 
 @dataclass(frozen=True)
@@ -41,31 +63,128 @@ class Add(AtomicStep):
     direction: Direction | None = None
     gain_db: float | None = None
 
+    operation = "add"
+    group = 2
+    template = _pattern(
+        rf"add the sound of (?P<label>.+?)(?: at (?P<direction>{_DIR}))?"
+        rf"(?: (?:with|by) (?P<gain_db>{_NUM})\s*db)?")
+    hint = "Add the sound of <label> [at <dir>] [with <n> db]"
+    pieces = (" at {direction}", " with {gain_db} db")
+    effect = _pattern(rf"(?:at (?P<direction>{_DIR}))?\s*"
+                      rf"(?:(?:by|with)\s*(?P<gain_db>{_NUM})\s*db)?")
+    effect_pieces = ("at {direction}", "by {gain_db}dB")
+
 
 @dataclass(frozen=True)
-class Remove(AtomicStep):
+class _OneEventStep(AtomicStep):
+    """Remove and Extract: a target optionally narrowed by direction."""
+
     direction: Direction | None = None
 
+    group = 0
+    pieces = (" at {direction}",)
+    effect = _pattern(rf"(?:at (?:the )?(?P<direction>{_DIR}))?")
+    effect_pieces = ("at {direction}",)
+
 
 @dataclass(frozen=True)
-class Extract(AtomicStep):
-    direction: Direction | None = None
+class Remove(_OneEventStep):
+    operation = "remove"
+    template = _pattern(rf"remove the sound of (?P<label>.+?)"
+                        rf"(?: at (?:the )?(?P<direction>{_DIR}))?")
+    hint = "Remove the sound of <label> [at <dir>]"
 
 
 @dataclass(frozen=True)
-class TurnUp(AtomicStep):
+class Extract(_OneEventStep):
+    operation = "extract"
+    template = _pattern(rf"extract the sound of (?P<label>.+?)"
+                        rf"(?: at (?:the )?(?P<direction>{_DIR}))?")
+    hint = "Extract the sound of <label> [at <dir>]"
+
+
+@dataclass(frozen=True)
+class _VolumeStep(AtomicStep):
+    """TurnUp and TurnDown: a target and a dB amount."""
+
     delta_db: float = 0.0
 
+    group = 1
+    pieces = (" by {delta_db} dB",)
+    effect = _pattern(rf"(?:by\s+)?(?P<delta_db>{_NUM})\s*db")
+    effect_pieces = ("{delta_db}dB",)
+
 
 @dataclass(frozen=True)
-class TurnDown(AtomicStep):
-    delta_db: float = 0.0
+class TurnUp(_VolumeStep):
+    operation = "turn up"
+    aliases = ("turnup",)
+    template = _pattern(rf"turn up (?:the )?(?:the )?sound of (?P<label>.+?) "
+                        rf"by (?P<delta_db>{_NUM})\s*db")
+    hint = "Turn up the sound of <label> by <n> dB"
+
+
+@dataclass(frozen=True)
+class TurnDown(_VolumeStep):
+    operation = "turn down"
+    aliases = ("turndown",)
+    template = _pattern(rf"turn down (?:the )?(?:the )?sound of (?P<label>.+?) "
+                        rf"by (?P<delta_db>{_NUM})\s*db")
+    hint = "Turn down the sound of <label> by <n> dB"
 
 
 @dataclass(frozen=True)
 class Change(AtomicStep):
     to: Direction = Direction.FRONT
     from_: Direction | None = None
+
+    operation = "change"
+    group = 1
+    template = _pattern(rf"change the sound of (?P<label>.+?)"
+                        rf"(?: from (?P<from_>{_DIR}))? to (?P<to>{_DIR})")
+    hint = "Change the sound of <label> [from <dir>] to <dir>"
+    pieces = (" from {from_}", " to {to}")
+    effect = _pattern(rf"(?:from (?P<from_>{_DIR})\s+)?to (?P<to>{_DIR})")
+    effect_pieces = ("from {from_}", "to {to}")
+
+
+STEP_TYPES = (Add, Remove, Extract, TurnUp, TurnDown, Change)
+
+_BY_OPERATION = {op: cls for cls in STEP_TYPES
+                 for op in (cls.operation, *cls.aliases)}
+
+_FIELD_TYPES = {"label": str, "direction": Direction.from_text,
+                "to": Direction.from_text, "from_": Direction.from_text,
+                "gain_db": float, "delta_db": float}
+_PIECE_FIELD_RE = re.compile(r"\{(\w+)\}")
+
+
+def _step_type(step: AtomicStep) -> type[AtomicStep]:
+    if not isinstance(step, STEP_TYPES):
+        raise TypeError(f"unknown step type: {type(step).__name__}")
+    return type(step)
+
+
+def _fields(match: re.Match) -> dict:
+    """Typed step fields from the named groups a pattern matched."""
+    return {name: _FIELD_TYPES[name](text)
+            for name, text in match.groupdict().items() if text is not None}
+
+
+def _fmt_db(value: float) -> str:
+    return str(int(value)) if float(value).is_integer() else repr(float(value))
+
+
+def _emit(step: AtomicStep, pieces: tuple[str, ...]) -> list[str]:
+    """The pieces whose field is set, formatted with that field's value."""
+    out = []
+    for piece in pieces:
+        name = _PIECE_FIELD_RE.search(piece).group(1)
+        value = getattr(step, name)
+        if value is not None:
+            text = value.value if isinstance(value, Direction) else _fmt_db(value)
+            out.append(piece.format(**{name: text}))
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,120 +195,35 @@ class EditPlan:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "sound_sources", tuple(self.sound_sources))
-        object.__setattr__(self, "steps", tuple(self.steps))
-        object.__setattr__(self, "warnings", tuple(self.warnings))
+        for name in ("sound_sources", "steps", "warnings"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 # ---------------------------------------------------------------------------
 # Template text form
 # ---------------------------------------------------------------------------
 
-_DIR = r"(left|front|right)"
-_NUM = r"([-+]?\d+(?:\.\d+)?)"
-
-_ADD_RE = re.compile(
-    rf"add the sound of (.+?)(?: at {_DIR})?(?: (?:with|by) {_NUM}\s*db)?",
-    re.IGNORECASE,
-)
-_REMOVE_RE = re.compile(
-    rf"remove the sound of (.+?)(?: at (?:the )?{_DIR})?", re.IGNORECASE)
-_EXTRACT_RE = re.compile(
-    rf"extract the sound of (.+?)(?: at (?:the )?{_DIR})?", re.IGNORECASE)
-_TURN_RE = re.compile(
-    rf"turn (up|down) (?:the )?(?:the )?sound of (.+?) by {_NUM}\s*db",
-    re.IGNORECASE,
-)
-_CHANGE_RE = re.compile(
-    rf"change the sound of (.+?)(?: from {_DIR})? to {_DIR}", re.IGNORECASE)
-
-
 def parse_step(text: str) -> AtomicStep:
     """Parse one canonical template sentence into an AtomicStep."""
     line = text.strip()
     lowered = line.lower()
-
-    if lowered.startswith("add "):
-        m = _ADD_RE.fullmatch(line)
-        if not m:
-            raise ParseError(f"malformed add step: {line!r}", position=0,
-                             expected="Add the sound of <label> [at <dir>] [with <n> db]")
-        label, d, n = m.group(1), m.group(2), m.group(3)
-        return Add(label=label,
-                   direction=Direction.from_text(d) if d else None,
-                   gain_db=float(n) if n is not None else None)
-
-    if lowered.startswith("remove "):
-        m = _REMOVE_RE.fullmatch(line)
-        if not m:
-            raise ParseError(f"malformed remove step: {line!r}", position=0,
-                             expected="Remove the sound of <label> [at <dir>]")
-        return Remove(label=m.group(1),
-                      direction=Direction.from_text(m.group(2)) if m.group(2) else None)
-
-    if lowered.startswith("extract "):
-        m = _EXTRACT_RE.fullmatch(line)
-        if not m:
-            raise ParseError(f"malformed extract step: {line!r}", position=0,
-                             expected="Extract the sound of <label> [at <dir>]")
-        return Extract(label=m.group(1),
-                       direction=Direction.from_text(m.group(2)) if m.group(2) else None)
-
-    if lowered.startswith("turn "):
-        m = _TURN_RE.fullmatch(line)
-        if not m:
-            raise ParseError(f"malformed turn step: {line!r}", position=0,
-                             expected="Turn up/down the sound of <label> by <n> dB")
-        cls = TurnUp if m.group(1).lower() == "up" else TurnDown
-        return cls(label=m.group(2), delta_db=float(m.group(3)))
-
-    if lowered.startswith("change "):
-        m = _CHANGE_RE.fullmatch(line)
-        if not m:
-            raise ParseError(f"malformed change step: {line!r}", position=0,
-                             expected="Change the sound of <label> [from <dir>] to <dir>")
-        return Change(label=m.group(1),
-                      from_=Direction.from_text(m.group(2)) if m.group(2) else None,
-                      to=Direction.from_text(m.group(3)))
-
+    for cls in STEP_TYPES:
+        if lowered.startswith(cls.operation + " "):
+            m = cls.template.fullmatch(line)
+            if not m:
+                raise ParseError(f"malformed {cls.operation} step: {line!r}",
+                                 position=0, expected=cls.hint)
+            return cls(**_fields(m))
     raise ParseError(
         f"unrecognized step: {line!r}", position=0,
         expected="one of: Add / Remove / Extract / Turn up / Turn down / Change")
 
 
-def _fmt_db(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
-
-
 def serialize_step(step: AtomicStep) -> str:
     """Emit the canonical template sentence; inverse of parse_step."""
-    if isinstance(step, Add):
-        out = f"Add the sound of {step.label}"
-        if step.direction is not None:
-            out += f" at {step.direction.value}"
-        if step.gain_db is not None:
-            out += f" with {_fmt_db(step.gain_db)} db"
-        return out
-    if isinstance(step, Remove):
-        out = f"Remove the sound of {step.label}"
-        if step.direction is not None:
-            out += f" at {step.direction.value}"
-        return out
-    if isinstance(step, Extract):
-        out = f"Extract the sound of {step.label}"
-        if step.direction is not None:
-            out += f" at {step.direction.value}"
-        return out
-    if isinstance(step, TurnUp):
-        return f"Turn up the sound of {step.label} by {_fmt_db(step.delta_db)} dB"
-    if isinstance(step, TurnDown):
-        return f"Turn down the sound of {step.label} by {_fmt_db(step.delta_db)} dB"
-    if isinstance(step, Change):
-        out = f"Change the sound of {step.label}"
-        if step.from_ is not None:
-            out += f" from {step.from_.value}"
-        return out + f" to {step.to.value}"
-    raise TypeError(f"unknown step type: {type(step).__name__}")
+    cls = _step_type(step)
+    return (f"{cls.operation.capitalize()} the sound of {step.label}"
+            + "".join(_emit(step, cls.pieces)))
 
 
 def parse_plan_text(text: str) -> EditPlan:
@@ -206,21 +240,11 @@ def serialize_plan_text(plan: EditPlan) -> str:
 # JSON form (base-prompt output shape)
 # ---------------------------------------------------------------------------
 
-_EFFECT_ADD_RE = re.compile(
-    rf"(?:at {_DIR})?\s*(?:(?:by|with)\s*{_NUM}\s*db)?", re.IGNORECASE)
-_EFFECT_TURN_RE = re.compile(rf"(?:by\s+)?{_NUM}\s*db", re.IGNORECASE)
-_EFFECT_CHANGE_RE = re.compile(rf"(?:from {_DIR}\s+)?to {_DIR}", re.IGNORECASE)
-_EFFECT_AT_RE = re.compile(rf"at (?:the )?{_DIR}", re.IGNORECASE)
-
 _PLACEHOLDER_TARGETS = {"none", "null", "nil", "n/a", "placeholder", ""}
 
 _KNOWN_PLAN_KEYS = {"sound sources", "complex editing instruction",
                     "atomic editing steps"}
 _KNOWN_STEP_KEYS = {"operation", "target", "effect"}
-
-
-def _effect_is_empty(effect) -> bool:
-    return effect is None or str(effect).strip().lower() in {"", "none", "null"}
 
 
 def _step_from_json(obj: dict, index: int) -> AtomicStep:
@@ -234,78 +258,28 @@ def _step_from_json(obj: dict, index: int) -> AtomicStep:
     if not isinstance(target, str) or not target.strip():
         raise SchemaError(f"step {index}: target must be a non-empty string")
     target = target.strip()
-    effect = obj.get("effect")
+    cls = _BY_OPERATION.get(op)
+    if cls is None:
+        raise SchemaError(f"step {index}: unknown operation {obj['operation']!r}")
+    if cls is Add and target.lower() in _PLACEHOLDER_TARGETS:
+        raise SchemaError(
+            f"step {index}: add target must describe the new sound, "
+            f"got placeholder {target!r}")
 
-    if op == "add":
-        if target.lower() in _PLACEHOLDER_TARGETS:
-            raise SchemaError(
-                f"step {index}: add target must describe the new sound, "
-                f"got placeholder {target!r}")
-        if _effect_is_empty(effect):
-            return Add(label=target)
-        m = _EFFECT_ADD_RE.fullmatch(str(effect).strip())
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise SchemaError(f"step {index}: malformed add effect {effect!r}")
-        return Add(label=target,
-                   direction=Direction.from_text(m.group(1)) if m.group(1) else None,
-                   gain_db=float(m.group(2)) if m.group(2) is not None else None)
-
-    if op in ("remove", "extract"):
-        cls = Remove if op == "remove" else Extract
-        if _effect_is_empty(effect):
-            return cls(label=target)
-        m = _EFFECT_AT_RE.fullmatch(str(effect).strip())
-        if not m:
-            raise SchemaError(f"step {index}: malformed {op} effect {effect!r}")
-        return cls(label=target, direction=Direction.from_text(m.group(1)))
-
-    if op in ("turn up", "turn down", "turnup", "turndown"):
-        if _effect_is_empty(effect):
-            raise SchemaError(f"step {index}: {op} requires a dB effect")
-        m = _EFFECT_TURN_RE.fullmatch(str(effect).strip())
-        if not m:
-            raise SchemaError(f"step {index}: malformed volume effect {effect!r}")
-        cls = TurnUp if "up" in op else TurnDown
-        return cls(label=target, delta_db=float(m.group(1)))
-
-    if op == "change":
-        if _effect_is_empty(effect):
-            raise SchemaError(f"step {index}: change requires a 'to <dir>' effect")
-        m = _EFFECT_CHANGE_RE.fullmatch(str(effect).strip())
-        if not m:
-            raise SchemaError(f"step {index}: malformed change effect {effect!r}")
-        return Change(label=target,
-                      from_=Direction.from_text(m.group(1)) if m.group(1) else None,
-                      to=Direction.from_text(m.group(2)))
-
-    raise SchemaError(f"step {index}: unknown operation {obj['operation']!r}")
+    text = str(obj.get("effect")).strip()  # a missing effect reads "None"
+    if text.lower() in {"none", "null"}:
+        text = ""
+    m = cls.effect.fullmatch(text)
+    if not m:
+        problem = f"malformed effect {obj['effect']!r}" if text else "requires an effect"
+        raise SchemaError(f"step {index}: {op} {problem}")
+    return cls(label=target, **_fields(m))
 
 
 def _step_to_json(step: AtomicStep) -> dict:
-    if isinstance(step, Add):
-        parts = []
-        if step.direction is not None:
-            parts.append(f"at {step.direction.value}")
-        if step.gain_db is not None:
-            parts.append(f"by {_fmt_db(step.gain_db)}dB")
-        return {"operation": "add", "target": step.label,
-                "effect": " ".join(parts) if parts else "None"}
-    if isinstance(step, (Remove, Extract)):
-        op = "remove" if isinstance(step, Remove) else "extract"
-        effect = f"at {step.direction.value}" if step.direction else "None"
-        return {"operation": op, "target": step.label, "effect": effect}
-    if isinstance(step, TurnUp):
-        return {"operation": "turn up", "target": step.label,
-                "effect": f"{_fmt_db(step.delta_db)}dB"}
-    if isinstance(step, TurnDown):
-        return {"operation": "turn down", "target": step.label,
-                "effect": f"{_fmt_db(step.delta_db)}dB"}
-    if isinstance(step, Change):
-        effect = f"to {step.to.value}"
-        if step.from_ is not None:
-            effect = f"from {step.from_.value} " + effect
-        return {"operation": "change", "target": step.label, "effect": effect}
-    raise TypeError(f"unknown step type: {type(step).__name__}")
+    cls = _step_type(step)
+    return {"operation": cls.operation, "target": step.label,
+            "effect": " ".join(_emit(step, cls.effect_pieces)) or "None"}
 
 
 def plan_to_json(plan: EditPlan) -> dict:
@@ -394,11 +368,6 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
     target a label introduced by a later Add.
     """
     labels = {normalize_label(l) for l in scene_labels}
-    add_positions: dict[str, list[int]] = {}
-    for i, step in enumerate(plan.steps):
-        if isinstance(step, Add):
-            add_positions.setdefault(normalize_label(step.label), []).append(i)
-
     violations: list[Violation] = []
 
     for i, step in enumerate(plan.steps):
@@ -407,7 +376,8 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
         key = normalize_label(step.label)
         if key in labels:
             continue
-        later = [j for j in add_positions.get(key, []) if j > i]
+        later = [j for j, s in enumerate(plan.steps) if j > i
+                 and isinstance(s, Add) and normalize_label(s.label) == key]
         if later:
             violations.append(Violation(
                 "R6", i,
@@ -418,15 +388,13 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
                 "R1", i,
                 f"step {i} targets {step.label!r} which matches no scene label"))
 
-    removes = [i for i, s in enumerate(plan.steps) if isinstance(s, Remove)]
-    if removes:
-        if len(removes) > 2:
-            violations.append(Violation(
-                "R2", None, f"{len(removes)} removes; at most 2 allowed"))
-        remove_keys = {normalize_label(plan.steps[i].label) for i in removes}
-        if labels and not (labels - remove_keys):
-            violations.append(Violation(
-                "R2", None, "plan removes every sound source; keep at least one"))
+    removes = [normalize_label(s.label) for s in plan.steps if isinstance(s, Remove)]
+    if len(removes) > 2:
+        violations.append(Violation(
+            "R2", None, f"{len(removes)} removes; at most 2 allowed"))
+    if removes and labels and not labels - set(removes):
+        violations.append(Violation(
+            "R2", None, "plan removes every sound source; keep at least one"))
 
     adds = [i for i, s in enumerate(plan.steps) if isinstance(s, Add)]
     if len(adds) > 2:
@@ -434,17 +402,12 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
             "R3", None, f"{len(adds)} adds; at most 2 allowed"))
 
     for i in adds:
-        step = plan.steps[i]
-        if normalize_label(step.label) in labels:
+        if normalize_label(plan.steps[i].label) in labels:
             violations.append(Violation(
-                "R4", i, f"added label {step.label!r} duplicates a scene label"))
+                "R4", i, f"added label {plan.steps[i].label!r} duplicates a scene label"))
 
     for i, step in enumerate(plan.steps):
-        value = None
-        if isinstance(step, (TurnUp, TurnDown)):
-            value = step.delta_db
-        elif isinstance(step, Add) and step.gain_db is not None:
-            value = step.gain_db
+        value = getattr(step, "delta_db", getattr(step, "gain_db", None))
         if value is not None and not MIN_DELTA_DB <= value <= MAX_DELTA_DB:
             violations.append(Violation(
                 "R5", i,
@@ -458,17 +421,9 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
 # Canonical ordering
 # ---------------------------------------------------------------------------
 
-def _step_group(step: AtomicStep) -> int:
-    if isinstance(step, (Remove, Extract)):
-        return 0
-    if isinstance(step, (TurnUp, TurnDown, Change)):
-        return 1
-    return 2  # Add
-
-
 def canonicalize_plan(plan: EditPlan) -> EditPlan:
     """Stable reorder into remove/extract, then modify, then add."""
-    ordered = tuple(sorted(plan.steps, key=_step_group))
+    ordered = tuple(sorted(plan.steps, key=lambda s: _step_type(s).group))
     return EditPlan(instruction=plan.instruction,
                     sound_sources=plan.sound_sources,
                     steps=ordered,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,12 +67,6 @@ class EventSpec:
     clip: SourceClip
     direction: Direction
     gain_db: float
-
-    def with_gain(self, gain_db: float) -> "EventSpec":
-        return replace(self, gain_db=gain_db)
-
-    def with_direction(self, direction: Direction) -> "EventSpec":
-        return replace(self, direction=direction)
 
 
 @dataclass(frozen=True)

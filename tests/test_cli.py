@@ -178,3 +178,12 @@ def test_config_file_supplies_seed(scene_file, tmp_path, capsys):
     assert main(["--config", str(cfg), "edit", str(scene_file), str(plan),
                  str(tmp_path / "out")]) == 0
     assert "seed:" not in capsys.readouterr().out  # seed came from config
+
+
+def test_config_file_supplies_log_level(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"log_level": "json"}))
+    assert main(["--config", str(cfg), "parse",
+                 str(tmp_path / "missing.txt")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 3

@@ -1,3 +1,4 @@
+import base64
 import random
 import sys
 import textwrap
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from stereoedit.audio import SAMPLE_RATE, SourceClip
-from stereoedit.engine import (OracleEditor, SubprocessEditorAdapter,
-                               apply_step, execute_plan, match_target)
+from stereoedit.engine import (HttpEditorAdapter, OracleEditor,
+                               SubprocessEditorAdapter, apply_step,
+                               execute_plan, match_target)
 from stereoedit.errors import (AdapterProtocolError, AdapterTimeout,
                                AmbiguousTarget, EmptySceneResult,
                                TargetNotFound)
@@ -136,8 +138,10 @@ def test_execute_plan_trajectory_shape(catalog):
         TurnUp(label="dog bark", delta_db=2.0),
         Add(label="wind"),
     ))
-    traj = execute_plan(scene, plan, catalog=catalog, rng=random.Random(0))
+    traj, edited = execute_plan(scene, plan, catalog=catalog,
+                                rng=random.Random(0))
     assert len(traj) == 4
+    assert edited == [["e0"], ["e1"], ["e3"]]
     np.testing.assert_array_equal(traj[0][1].samples,
                                   render_scene(scene).samples)
 
@@ -214,4 +218,83 @@ def test_subprocess_adapter_wrong_shape(tmp_path):
     adapter = SubprocessEditorAdapter([sys.executable, str(script), "{output}"],
                                       work_dir=tmp_path / "work")
     with pytest.raises(AdapterProtocolError, match="stereo"):
+        adapter.edit(render_scene(_scene()), Remove(label="rain"))
+
+
+def test_subprocess_adapter_non_finite_output(tmp_path):
+    # editor writes a float WAV of the right shape holding a NaN
+    script = tmp_path / "nan.py"
+    script.write_text(textwrap.dedent("""
+        import sys
+        import numpy as np
+        from scipy.io import wavfile
+        data = np.zeros((24000, 2), dtype=np.float32)
+        data[5, 1] = np.nan
+        wavfile.write(sys.argv[1], 24000, data)
+    """))
+    adapter = SubprocessEditorAdapter([sys.executable, str(script), "{output}"],
+                                      work_dir=tmp_path / "work")
+    with pytest.raises(AdapterProtocolError, match="finite"):
+        adapter.edit(render_scene(_scene()), Remove(label="rain"))
+
+
+# ---------------------------------------------------------------------------
+# HTTP adapter (fake session, no network)
+# ---------------------------------------------------------------------------
+
+class _FakeResponse:
+    def __init__(self, status_code, body):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
+        return self._body
+
+
+class _FakeSession:
+    """Answers every POST with ``reply(payload)`` and records the payloads."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.payloads = []
+
+    def post(self, url, json, timeout):
+        self.payloads.append(json)
+        return self.reply(json)
+
+
+def test_http_adapter_echo():
+    session = _FakeSession(
+        lambda payload: _FakeResponse(200, {"audio_b64": payload["audio_b64"]}))
+    adapter = HttpEditorAdapter("http://editor.invalid/edit", session=session)
+    audio = render_scene(_scene())
+    out = adapter.edit(audio, Remove(label="rain"))
+    np.testing.assert_array_equal(out.samples,
+                                  audio.samples.astype(np.float32))
+    assert session.payloads[0]["step"] == "Remove the sound of rain"
+    assert base64.b64decode(session.payloads[0]["audio_b64"])[:4] == b"RIFF"
+
+
+def test_http_adapter_non_200():
+    adapter = HttpEditorAdapter(
+        "http://editor.invalid/edit",
+        session=_FakeSession(lambda payload: _FakeResponse(503, {})))
+    with pytest.raises(AdapterProtocolError, match="503"):
+        adapter.edit(render_scene(_scene()), Remove(label="rain"))
+
+
+@pytest.mark.parametrize("body", [
+    ValueError("not JSON"),
+    {"audio": ""},
+    ["audio_b64"],
+    {"audio_b64": "!!not base64!!"},
+    {"audio_b64": base64.b64encode(b"not a wav").decode("ascii")},
+])
+def test_http_adapter_malformed_body(body):
+    adapter = HttpEditorAdapter(
+        "http://editor.invalid/edit",
+        session=_FakeSession(lambda payload: _FakeResponse(200, body)))
+    with pytest.raises(AdapterProtocolError):
         adapter.edit(render_scene(_scene()), Remove(label="rain"))
