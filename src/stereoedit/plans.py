@@ -44,18 +44,19 @@ def _pattern(text: str) -> re.Pattern:
 class AtomicStep:
     """Base of the six step types. Each describes both surface forms of
     itself in the class attributes below. Patterns have one named group per
-    field; an emitted fragment is dropped when the field it names is None."""
+    field; emitters map a field to its text, which is left out when the
+    field is None."""
 
     label: str
 
     operation: ClassVar[str]  # JSON operation; the template's leading words
     aliases: ClassVar[tuple[str, ...]] = ()  # more JSON operations accepted
     group: ClassVar[int]  # canonical order: 0 remove/extract, 1 modify, 2 add
-    template: ClassVar[re.Pattern]
+    template: ClassVar[re.Pattern]  # the whole template sentence
     hint: ClassVar[str]  # the template shape quoted by parse errors
-    pieces: ClassVar[tuple[str, ...]]  # after "<Operation> the sound of <label>"
-    effect: ClassVar[re.Pattern]  # an empty effect is accepted iff it matches
-    effect_pieces: ClassVar[tuple[str, ...]]  # space-joined; "None" if none
+    pieces: ClassVar[dict[str, str]]  # after "<Operation> the sound of <label>"
+    effect: ClassVar[re.Pattern]  # matches "" iff the effect may be empty
+    effect_pieces: ClassVar[dict[str, str]]  # space-joined; "None" if none
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,10 @@ class Add(AtomicStep):
         rf"add the sound of (?P<label>.+?)(?: at (?P<direction>{_DIR}))?"
         rf"(?: (?:with|by) (?P<gain_db>{_NUM})\s*db)?")
     hint = "Add the sound of <label> [at <dir>] [with <n> db]"
-    pieces = (" at {direction}", " with {gain_db} db")
+    pieces = {"direction": " at {}", "gain_db": " with {} db"}
     effect = _pattern(rf"(?:at (?P<direction>{_DIR}))?\s*"
                       rf"(?:(?:by|with)\s*(?P<gain_db>{_NUM})\s*db)?")
-    effect_pieces = ("at {direction}", "by {gain_db}dB")
+    effect_pieces = {"direction": "at {}", "gain_db": "by {}dB"}
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,9 @@ class _OneEventStep(AtomicStep):
     direction: Direction | None = None
 
     group = 0
-    pieces = (" at {direction}",)
+    pieces = {"direction": " at {}"}
     effect = _pattern(rf"(?:at (?:the )?(?P<direction>{_DIR}))?")
-    effect_pieces = ("at {direction}",)
+    effect_pieces = {"direction": "at {}"}
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,9 @@ class _VolumeStep(AtomicStep):
     delta_db: float = 0.0
 
     group = 1
-    pieces = (" by {delta_db} dB",)
+    pieces = {"delta_db": " by {} dB"}
     effect = _pattern(rf"(?:by\s+)?(?P<delta_db>{_NUM})\s*db")
-    effect_pieces = ("{delta_db}dB",)
+    effect_pieces = {"delta_db": "{}dB"}
 
 
 @dataclass(frozen=True)
@@ -143,9 +144,9 @@ class Change(AtomicStep):
     template = _pattern(rf"change the sound of (?P<label>.+?)"
                         rf"(?: from (?P<from_>{_DIR}))? to (?P<to>{_DIR})")
     hint = "Change the sound of <label> [from <dir>] to <dir>"
-    pieces = (" from {from_}", " to {to}")
+    pieces = {"from_": " from {}", "to": " to {}"}
     effect = _pattern(rf"(?:from (?P<from_>{_DIR})\s+)?to (?P<to>{_DIR})")
-    effect_pieces = ("from {from_}", "to {to}")
+    effect_pieces = {"from_": "from {}", "to": "to {}"}
 
 
 STEP_TYPES = (Add, Remove, Extract, TurnUp, TurnDown, Change)
@@ -156,7 +157,6 @@ _BY_OPERATION = {op: cls for cls in STEP_TYPES
 _FIELD_TYPES = {"label": str, "direction": Direction.from_text,
                 "to": Direction.from_text, "from_": Direction.from_text,
                 "gain_db": float, "delta_db": float}
-_PIECE_FIELD_RE = re.compile(r"\{(\w+)\}")
 
 
 def _step_type(step: AtomicStep) -> type[AtomicStep]:
@@ -175,15 +175,14 @@ def _fmt_db(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
-def _emit(step: AtomicStep, pieces: tuple[str, ...]) -> list[str]:
-    """The pieces whose field is set, formatted with that field's value."""
+def _emit(step: AtomicStep, pieces: dict[str, str]) -> list[str]:
+    """The fragments whose field is set, formatted with that field's value."""
     out = []
-    for piece in pieces:
-        name = _PIECE_FIELD_RE.search(piece).group(1)
+    for name, piece in pieces.items():
         value = getattr(step, name)
         if value is not None:
-            text = value.value if isinstance(value, Direction) else _fmt_db(value)
-            out.append(piece.format(**{name: text}))
+            out.append(piece.format(
+                value.value if isinstance(value, Direction) else _fmt_db(value)))
     return out
 
 
@@ -195,8 +194,9 @@ class EditPlan:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for name in ("sound_sources", "steps", "warnings"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "sound_sources", tuple(self.sound_sources))
+        object.__setattr__(self, "steps", tuple(self.steps))
+        object.__setattr__(self, "warnings", tuple(self.warnings))
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,15 @@ def test_subprocess_adapter_failure(tmp_path):
         adapter.edit(render_scene(_scene()), Remove(label="rain"))
 
 
+def test_subprocess_adapter_no_output(tmp_path):
+    script = tmp_path / "silent.py"
+    script.write_text("pass")
+    adapter = SubprocessEditorAdapter([sys.executable, str(script)],
+                                      work_dir=tmp_path / "work")
+    with pytest.raises(AdapterProtocolError, match="file not found"):
+        adapter.edit(render_scene(_scene()), Remove(label="rain"))
+
+
 def test_subprocess_adapter_timeout(tmp_path):
     script = tmp_path / "slow.py"
     script.write_text("import time; time.sleep(30)")
