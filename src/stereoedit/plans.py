@@ -149,9 +149,9 @@ class Change(AtomicStep):
     effect_pieces = {"from_": "from {}", "to": "to {}"}
 
 
-STEP_TYPES = (Add, Remove, Extract, TurnUp, TurnDown, Change)
+_STEP_TYPES = (Add, Remove, Extract, TurnUp, TurnDown, Change)
 
-_BY_OPERATION = {op: cls for cls in STEP_TYPES
+_BY_OPERATION = {op: cls for cls in _STEP_TYPES
                  for op in (cls.operation, *cls.aliases)}
 
 _FIELD_TYPES = {"label": str, "direction": Direction.from_text,
@@ -160,7 +160,7 @@ _FIELD_TYPES = {"label": str, "direction": Direction.from_text,
 
 
 def _step_type(step: AtomicStep) -> type[AtomicStep]:
-    if not isinstance(step, STEP_TYPES):
+    if not isinstance(step, _STEP_TYPES):
         raise TypeError(f"unknown step type: {type(step).__name__}")
     return type(step)
 
@@ -207,7 +207,7 @@ def parse_step(text: str) -> AtomicStep:
     """Parse one canonical template sentence into an AtomicStep."""
     line = text.strip()
     lowered = line.lower()
-    for cls in STEP_TYPES:
+    for cls in _STEP_TYPES:
         if lowered.startswith(cls.operation + " "):
             m = cls.template.fullmatch(line)
             if not m:
