@@ -87,7 +87,10 @@ class AudioBuffer:
         return self.num_samples / self.sample_rate_hz
 
     def peak(self) -> float:
-        return float(np.max(np.abs(self.samples))) if self.num_samples else 0.0
+        if not self.num_samples:
+            return 0.0
+        # max(|x|) without an |x| temporary the size of the buffer
+        return float(max(self.samples.max(), -self.samples.min()))
 
     def rms(self) -> float:
         return float(np.sqrt(np.mean(np.square(self.samples))))
@@ -119,7 +122,8 @@ def read_wav(path) -> tuple[int, np.ndarray]:
 def write_wav(path, buffer: AudioBuffer) -> None:
     """Export as stereo float32 WAV at the internal rate to a path or a
     binary file object."""
-    data = buffer.samples.T.astype(np.float32)
+    # C order, so scipy writes the frames without another interleaving copy
+    data = np.ascontiguousarray(buffer.samples.T, dtype=np.float32)
     wavfile.write(path, buffer.sample_rate_hz, data)
 
 

@@ -45,7 +45,6 @@ class CliError(Exception):
 
 
 def _load_config_file(path: str) -> dict:
-    text = Path(path).read_text()
     if path.endswith(".toml"):
         try:
             import tomllib
@@ -55,8 +54,17 @@ def _load_config_file(path: str) -> dict:
             except ImportError:
                 raise CliError("TOML config requires Python >= 3.11 or tomli",
                                EXIT_IO)
-        return tomllib.loads(text)
-    return json.loads(text)
+        loads, decode_error = tomllib.loads, tomllib.TOMLDecodeError
+    else:
+        loads, decode_error = json.loads, json.JSONDecodeError
+    try:
+        data = loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, decode_error) as exc:
+        raise CliError(f"cannot read config: {exc}", EXIT_IO)
+    if not isinstance(data, dict):
+        raise CliError(f"config must be an object of option values, "
+                       f"not {type(data).__name__}", EXIT_SCHEMA)
+    return data
 
 
 def _load_plan(path: str):
@@ -161,10 +169,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        data = _load_config_file(args.config_file)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config: {exc}", EXIT_IO)
+    data = _load_config_file(args.config_file)
     if args.seed is not None:
         data["seed"] = args.seed
     if args.workers is not None:

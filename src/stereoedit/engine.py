@@ -19,7 +19,7 @@ from pathlib import Path
 from .audio import AudioBuffer, prepare_clip, read_wav, write_wav
 from .catalog import Catalog, retrieve_clip
 from .errors import (AdapterProtocolError, AdapterTimeout, AmbiguousTarget,
-                     EmptySceneResult, TargetNotFound)
+                     EmptyCatalog, EmptySceneResult, TargetNotFound)
 from .plans import (Add, AtomicStep, Change, EditPlan, Extract, Remove,
                     TurnDown, TurnUp, normalize_label, serialize_step)
 from .spatial import Direction, EventSpec, Scene, render_scene
@@ -72,7 +72,7 @@ def apply_step(scene: Scene, step: AtomicStep,
     """Apply one atomic step, returning the mutated scene and its render."""
     if isinstance(step, Add):
         if catalog is None:
-            raise ValueError("Add steps require a catalog")
+            raise EmptyCatalog("Add steps require a catalog")
         clip = retrieve_clip(catalog, step.label, rng or random.Random(0))
         edited = EventSpec(event_id=scene.next_event_id(),
                            label=step.label,

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -277,10 +278,7 @@ def run_pipeline(config: PipelineConfig, catalog: Catalog | None = None) -> Pipe
                 handle(_worker(task))
 
     ordered = [rows[i] for i in sorted(rows)]
-    manifest_path = out / MANIFEST_NAME
-    with open(manifest_path, "w") as fh:
-        for row in ordered:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    _write_jsonl(out / MANIFEST_NAME, ordered)
 
     if config.single_step_expansion:
         expand_single_step(ordered, out / SINGLE_STEP_MANIFEST_NAME)
@@ -296,18 +294,35 @@ def run_pipeline(config: PipelineConfig, catalog: Catalog | None = None) -> Pipe
 
 def expand_single_step(records, out_path) -> int:
     """Write one (step text, a_{i-1} path, a_i path) tuple per step."""
+    return _write_jsonl(out_path, (
+        {"record_id": row["record_id"],
+         "step_index": i,
+         "step": meta["step"],
+         "audio_before": row["audio_paths"][i],
+         "audio_after": row["audio_paths"][i + 1]}
+        for row in records
+        for i, meta in enumerate(row["per_step_meta"])))
+
+
+def _write_jsonl(path: Path, rows) -> int:
+    """Write one sorted-key JSON line per row and return the row count.
+
+    The lines go to a temp file beside ``path`` that replaces it only once
+    complete, so a failed or interrupted write leaves any earlier file whole.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
     count = 0
-    with open(out_path, "w") as fh:
-        for row in records:
-            for i, meta in enumerate(row["per_step_meta"]):
-                fh.write(json.dumps({
-                    "record_id": row["record_id"],
-                    "step_index": i,
-                    "step": meta["step"],
-                    "audio_before": row["audio_paths"][i],
-                    "audio_after": row["audio_paths"][i + 1],
-                }, sort_keys=True) + "\n")
+    try:
+        with open(tmp, "w") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
                 count += 1
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return count
 
 

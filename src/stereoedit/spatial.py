@@ -103,25 +103,22 @@ def spatialize(clip: SourceClip, direction: Direction, gain_db: float = 0.0) -> 
     Front yields identical channels and no delay. The contralateral channel
     is delayed by round(itd_samples(azimuth)), head-padded with zeros and
     tail-truncated so the canonical length is preserved.
+
+    Both channels are written straight into one (2, n) array, so the render
+    allocates its output once and no per-channel temporaries.
     """
     az = direction.azimuth_deg
-    gl, gr = pan_gains(az)
     g = db_to_linear(gain_db)
-    left = clip.samples * (gl * g)
-    right = clip.samples * (gr * g)
-
     delay = round(itd_samples(az))
-    if delay > 0:  # source on the right: left channel is far
-        left = _delay(left, delay)
-    elif delay < 0:  # source on the left: right channel is far
-        right = _delay(right, -delay)
-    return AudioBuffer(np.stack([left, right]))
-
-
-def _delay(x: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros_like(x)
-    out[n:] = x[: len(x) - n]
-    return out
+    # positive delay: source on the right, so the left channel is far
+    delays = (max(delay, 0), max(-delay, 0))
+    x = clip.samples
+    n = len(x)
+    out = np.empty((2, n))
+    for ch, (gain, d) in enumerate(zip(pan_gains(az), delays)):
+        out[ch, :d] = 0.0
+        np.multiply(x[: n - d], gain * g, out=out[ch, d:])
+    return AudioBuffer(out)
 
 
 def render_event(event: EventSpec) -> AudioBuffer:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -142,3 +144,37 @@ def test_normalize_rms_exact():
 def test_normalize_rms_silent_raises():
     with pytest.raises(SilentClip):
         normalize_rms(SourceClip(label="x", samples=np.zeros(100)))
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while fn runs (numpy reports its buffers to
+    tracemalloc), and fn's result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_write_wav_allocates_one_float32_copy(tmp_path):
+    samples = np.random.default_rng(1).uniform(-1, 1, (2, 240000))
+    buf = AudioBuffer(samples)
+    path = tmp_path / "big.wav"
+    peak, _ = _traced_peak(lambda: write_wav(path, buf))
+    payload = samples.size * np.dtype(np.float32).itemsize
+    assert peak <= 1.2 * payload
+    _, back = read_wav(path)
+    np.testing.assert_array_equal(back.T, samples.astype(np.float32))
+
+
+def test_peak_matches_abs_max_without_a_temporary():
+    samples = np.random.default_rng(2).uniform(-1, 1, (2, 240000))
+    samples[1, 1234] = -1.5  # the largest magnitude is negative
+    buf = AudioBuffer(samples)
+    peak, value = _traced_peak(buf.peak)
+    assert value == float(np.max(np.abs(samples))) == 1.5
+    assert peak < 2 ** 20
+    assert AudioBuffer(np.zeros((2, 0))).peak() == 0.0
+    assert AudioBuffer(np.full((2, 3), 0.25)).peak() == 0.25

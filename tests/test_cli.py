@@ -187,3 +187,41 @@ def test_config_file_supplies_log_level(tmp_path, capsys):
                  str(tmp_path / "missing.txt")]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == 3
+
+
+def test_edit_add_without_catalog_is_engine_error(scene_file, tmp_path,
+                                                  capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("Add the sound of owl hoot\n")
+    assert main(["--seed", "1", "edit", str(scene_file), str(plan),
+                 str(tmp_path / "out")]) == 4
+    assert "require a catalog" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,text", [
+    ("missing.json", None),
+    ("broken.json", "{not json"),
+    ("broken.toml", "seed = = 3"),
+    ("binary.json", b"\xff\xfe\x00"),
+])
+def test_unreadable_config_is_io_error(tmp_path, capsys, name, text):
+    cfg = tmp_path / name
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    elif text is not None:
+        cfg.write_text(text)
+    plan = tmp_path / "plan.txt"
+    plan.write_text("Remove the sound of rain\n")
+    assert main(["--config", str(cfg), "parse", str(plan)]) == 3
+    assert main(["synth", str(cfg)]) == 3
+    assert capsys.readouterr().err.count("cannot read config") == 2
+
+
+def test_config_that_is_not_an_object_is_schema_error(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    plan = tmp_path / "plan.txt"
+    plan.write_text("Remove the sound of rain\n")
+    assert main(["--config", str(cfg), "parse", str(plan)]) == 2
+    assert main(["synth", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("config must be an object") == 2

@@ -11,7 +11,7 @@ from stereoedit.engine import (HttpEditorAdapter, OracleEditor,
                                SubprocessEditorAdapter, apply_step,
                                execute_plan, match_target)
 from stereoedit.errors import (AdapterProtocolError, AdapterTimeout,
-                               AmbiguousTarget, EmptySceneResult,
+                               AmbiguousTarget, EmptyCatalog, EmptySceneResult,
                                TargetNotFound)
 from stereoedit.plans import (Add, Change, EditPlan, Extract, Remove,
                               TurnDown, TurnUp)
@@ -108,8 +108,12 @@ def test_change_direction():
 
 
 def test_add_requires_catalog():
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyCatalog):
         apply_step(_scene(), Add(label="wind"))
+    plan = EditPlan(instruction="", sound_sources=(), steps=(
+        Remove(label="rain"), Add(label="wind")))
+    with pytest.raises(EmptyCatalog, match="step 1"):
+        execute_plan(_scene(), plan)
 
 
 def test_add_appends_event(catalog):

@@ -9,6 +9,7 @@ from stereoedit.errors import (FailureBudgetExceeded, OutputDirNotWritable,
 from stereoedit.pipeline import (MANIFEST_NAME, SINGLE_STEP_MANIFEST_NAME,
                                  PipelineConfig, build_trajectory,
                                  canonical_manifest_bytes, derive_record_seed,
+                                 expand_single_step,
                                  read_manifest, run_pipeline, sample_scene,
                                  scene_from_json, scene_to_json,
                                  synthesize_record)
@@ -170,3 +171,35 @@ def test_run_pipeline_golden_digest(catalog, catalog_root, tmp_path):
              for meta in row["per_step_meta"]}
     assert {"Remove", "Turn up", "Turn down", "Change", "Add"} <= steps
     assert h.hexdigest() == GOLDEN_DIGEST_6
+
+
+def test_manifest_write_is_atomic(catalog, tmp_path, monkeypatch):
+    import stereoedit.pipeline as pl
+
+    cfg = PipelineConfig(record_count=2, output_dir=str(tmp_path), seed=3,
+                         single_step_expansion=True)
+    run_pipeline(cfg, catalog=catalog)
+    manifest = tmp_path / MANIFEST_NAME
+    singles = tmp_path / SINGLE_STEP_MANIFEST_NAME
+    before = manifest.read_bytes(), singles.read_bytes()
+    names = sorted(p.name for p in tmp_path.iterdir())
+
+    # the second row cannot be serialized, so the rewrite fails after the
+    # first line has gone out
+    original = pl.synthesize_record
+
+    def poisoned(cat, config, index):
+        row = original(cat, config, index)
+        if index == 1:
+            row["unserializable"] = object()
+        return row
+
+    monkeypatch.setattr(pl, "synthesize_record", poisoned)
+    with pytest.raises(TypeError):
+        run_pipeline(cfg, catalog=catalog)
+    rows = read_manifest(manifest)
+    with pytest.raises(KeyError):  # the second record has no step list
+        expand_single_step([rows[0], {"record_id": "rec000001"}], singles)
+
+    assert (manifest.read_bytes(), singles.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == names

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,56 @@ def test_render_scene_length():
     scene = Scene((EventSpec("e0", "a", _clip(240000), Direction.FRONT, 0.0),),
                   10.0)
     assert render_scene(scene).num_samples == 240000
+
+
+def _reference_spatialize(clip, direction, gain_db):
+    """The separate-channel formula: scale each channel, then delay the far
+    one by shifting it right behind zeros."""
+    az = direction.azimuth_deg
+    gl, gr = pan_gains(az)
+    g = db_to_linear(gain_db)
+    left = clip.samples * (gl * g)
+    right = clip.samples * (gr * g)
+    delay = round(itd_samples(az))
+    if delay > 0:
+        left = np.concatenate([np.zeros(delay), left[:-delay]])
+    elif delay < 0:
+        right = np.concatenate([np.zeros(-delay), right[:delay]])
+    return np.stack([left, right])
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("gain_db", [0.0, -4.5, 3.0])
+def test_spatialize_bit_exact_against_reference(direction, gain_db,
+                                               monkeypatch):
+    # hand out non-zero fresh memory, so a far channel whose head was never
+    # written cannot pass as zeroed
+    real_empty = np.empty
+
+    def poisoned_empty(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        out.fill(7.0)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned_empty)
+    clip = _clip(n=4000, seed=7)
+    buf = spatialize(clip, direction, gain_db)
+    expected = _reference_spatialize(clip, direction, gain_db)
+    assert np.array_equal(buf.samples, expected)
+    delay = round(itd_samples(direction.azimuth_deg))
+    if delay:
+        far = buf.left if delay > 0 else buf.right
+        assert np.all(far[:abs(delay)] == 0.0)
+        assert far[abs(delay)] != 0.0
+
+
+def test_spatialize_allocates_only_its_output():
+    clip = _clip(n=240000, seed=3)
+    for direction in Direction:
+        tracemalloc.start()
+        try:
+            buf = spatialize(clip, direction, -2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * buf.samples.nbytes, (direction, peak)
