@@ -8,8 +8,8 @@ from .designer import (DesignerConfig, DesignerMode, design_plan_llm,
 from .engine import (EditOutcome, Editor, HttpEditorAdapter, OracleEditor,
                      SubprocessEditorAdapter, apply_step, execute_plan,
                      match_target)
-from .metrics import (RoundTripResult, StftParams, gcc_mse, gcc_phat_tdoa,
-                      lsd, roundtrip_drift)
+from .metrics import (RoundTripResult, gcc_mse, gcc_phat_tdoa, lsd,
+                      roundtrip_drift)
 from .pipeline import (PipelineConfig, PipelineStats, run_pipeline,
                        sample_scene, synthesize_record)
 from .plans import (Add, AtomicStep, Change, EditPlan, Extract, Remove,

@@ -113,6 +113,8 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     elif data.dtype in (np.int16, np.int32):
         out = data.astype(np.float64) / _INT_SCALES[data.dtype]
     elif data.dtype in (np.float32, np.float64):
+        if not np.isfinite(data).all():
+            raise UnsupportedFormat(f"{path}: samples must be finite")
         out = data.astype(np.float64)
     else:
         raise UnsupportedFormat(f"{path}: unsupported sample dtype {data.dtype}")

@@ -22,7 +22,8 @@ from .catalog import build_catalog
 from .demo import build_demo_catalog
 from .engine import (HttpEditorAdapter, OracleEditor, SubprocessEditorAdapter,
                      execute_plan)
-from .errors import JsonSyntaxError, ParseError, SchemaError, StereoEditError
+from .errors import (JsonSyntaxError, ParseError, SchemaError, StereoEditError,
+                     UnreadableFile, UnsupportedFormat)
 from .metrics import gcc_mse, lsd, roundtrip_drift
 from .pipeline import (PipelineConfig, canonical_manifest_bytes, read_manifest,
                        run_pipeline, scene_from_json)
@@ -109,10 +110,7 @@ def _resolve_seed(args) -> int:
 def cmd_render(args) -> int:
     scene = _load_scene(args.scene_file)
     audio = render_scene(scene)
-    try:
-        write_wav(args.out_wav, audio)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out_wav}: {exc}", EXIT_IO)
+    write_wav(args.out_wav, audio)
     print(f"wrote {args.out_wav}: {audio.num_samples} stereo frames, "
           f"peak {audio.peak():.4f}, rms {audio.rms():.4f}")
     return EXIT_OK
@@ -195,7 +193,12 @@ def cmd_synth(args) -> int:
 
 
 def _read_buffer(path) -> AudioBuffer:
-    rate, data = read_wav(path)
+    try:
+        rate, data = read_wav(path)
+    except UnsupportedFormat as exc:
+        raise CliError(str(exc), EXIT_SCHEMA)
+    except UnreadableFile as exc:
+        raise CliError(str(exc), EXIT_IO)
     if data.ndim != 2 or data.shape[1] != 2:
         raise CliError(f"{path}: expected stereo WAV", EXIT_SCHEMA)
     return AudioBuffer(data.T, sample_rate_hz=rate)
@@ -209,7 +212,7 @@ def cmd_eval(args) -> int:
     manifest_dir = Path(args.manifest).parent
     candidate_dir = Path(args.candidate_dir)
 
-    out_rows = []
+    out_rows = [["record_id", "audio_index", "lsd", "gcc_mse"]]
     for row in rows:
         for i, rel in enumerate(row["audio_paths"]):
             ref_path = manifest_dir / rel
@@ -224,10 +227,11 @@ def cmd_eval(args) -> int:
                              f"{lsd(ref, cand):.9g}",
                              f"{gcc_mse(ref, cand):.9g}"])
 
-    writer = csv.writer(open(args.csv, "w", newline="") if args.csv
-                        else sys.stdout)
-    writer.writerow(["record_id", "audio_index", "lsd", "gcc_mse"])
-    writer.writerows(out_rows)
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(out_rows)
+    else:
+        csv.writer(sys.stdout).writerows(out_rows)
     return EXIT_OK
 
 
@@ -363,14 +367,16 @@ def main(argv=None) -> int:
         level = (args.log_level or "warning").upper()
         logging.basicConfig(level=getattr(logging, level, logging.WARNING))
         return args.func(args)
+    except OSError as exc:  # any failed read or write not reported above
+        error, code = exc, EXIT_IO
     except (CliError, StereoEditError) as exc:
-        code = getattr(exc, "exit_code", EXIT_ENGINE)
-        if args.log_level == "json":
-            print(json.dumps({"error": str(exc), "exit_code": code}),
-                  file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return code
+        error, code = exc, getattr(exc, "exit_code", EXIT_ENGINE)
+    if args.log_level == "json":
+        print(json.dumps({"error": str(error), "exit_code": code}),
+              file=sys.stderr)
+    else:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

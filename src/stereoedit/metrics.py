@@ -1,9 +1,9 @@
 """Signal-level evaluation: log-spectral distance, GCC-PHAT delay metrics,
 and the round-trip drift harness.
 
-Frame analysis uses a 1024-sample Hann window with a 256-sample hop
-throughout, and silence is handled with explicit floors so degenerate
-inputs never produce NaN.
+The analysis is fixed: a 1024-sample periodic Hann window with a 256-sample
+hop throughout, a GCC lag search of +/-24 samples and a -80 dBFS silence
+floor, so degenerate inputs never produce NaN.
 """
 
 from __future__ import annotations
@@ -12,53 +12,38 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
 from .engine import Editor
 from .errors import LengthMismatch, NoVoicedFrames
 from .plans import Add, Remove
 
+WINDOW = 1024
+HOP = 256
 EPS_POWER = 1e-10
 PHAT_FLOOR = 1e-12
 SILENCE_FLOOR_DBFS = -80.0
 GCC_MAX_LAG = 24  # samples; > ceil(max physical interaural delay ~15.7)
 
-
-@dataclass(frozen=True)
-class StftParams:
-    window_size: int = 1024
-    hop: int = 256
-
-    def __post_init__(self):
-        if self.hop > self.window_size:
-            raise ValueError("hop must not exceed window_size")
-        if self.window_size & (self.window_size - 1):
-            raise ValueError("window_size must be a power of two")
+_HANN = np.hanning(WINDOW + 1)[:-1]  # periodic Hann
+_SILENCE_POWER = 10.0 ** (SILENCE_FLOOR_DBFS / 10.0)
 
 
-DEFAULT_STFT = StftParams()
-
-
-def _frames(x: np.ndarray, params: StftParams) -> np.ndarray:
-    """Non-padded sliding frames, shape (n_frames, window_size)."""
-    n = len(x)
-    if n < params.window_size:
+def _frames(x: np.ndarray) -> np.ndarray:
+    """Non-padded sliding frames as a view, shape (n_frames, WINDOW)."""
+    if len(x) < WINDOW:
         raise LengthMismatch(
-            f"signal of {n} samples shorter than window {params.window_size}")
-    count = (n - params.window_size) // params.hop + 1
-    idx = (np.arange(count)[:, None] * params.hop
-           + np.arange(params.window_size)[None, :])
-    return x[idx]
+            f"signal of {len(x)} samples shorter than window {WINDOW}")
+    return sliding_window_view(x, WINDOW)[::HOP]
 
 
-def _power_spectrogram(x: np.ndarray, params: StftParams) -> np.ndarray:
-    frames = _frames(x, params)
-    window = np.hanning(params.window_size + 1)[:-1]  # periodic Hann
-    spec = np.fft.rfft(frames * window, axis=1)
+def _power_spectrogram(x: np.ndarray) -> np.ndarray:
+    spec = np.fft.rfft(_frames(x) * _HANN, axis=1)
     return np.abs(spec) ** 2
 
 
-def lsd(a: AudioBuffer, b: AudioBuffer, params: StftParams = DEFAULT_STFT) -> float:
+def lsd(a: AudioBuffer, b: AudioBuffer) -> float:
     """Log-spectral distance in dB, averaged over frames and channels.
 
     Per channel: RMS over bins of 10*log10((|A|^2+eps)/(|B|^2+eps)), then
@@ -68,20 +53,19 @@ def lsd(a: AudioBuffer, b: AudioBuffer, params: StftParams = DEFAULT_STFT) -> fl
         raise LengthMismatch("buffers must share length and sample rate")
     per_channel = []
     for ch in range(2):
-        pa = _power_spectrogram(a.samples[ch], params) + EPS_POWER
-        pb = _power_spectrogram(b.samples[ch], params) + EPS_POWER
+        pa = _power_spectrogram(a.samples[ch]) + EPS_POWER
+        pb = _power_spectrogram(b.samples[ch]) + EPS_POWER
         diff = 10.0 * np.log10(pa / pb)
         per_channel.append(np.mean(np.sqrt(np.mean(diff ** 2, axis=1))))
     return float(np.mean(per_channel))
 
 
-def frame_is_silent(frame: np.ndarray,
-                    floor_dbfs: float = SILENCE_FLOOR_DBFS) -> bool:
-    return float(np.mean(np.square(frame))) < 10.0 ** (floor_dbfs / 10.0)
+def frame_is_silent(frames: np.ndarray):
+    """Whether a frame, or each frame of a stack, is below the silence floor."""
+    return np.mean(np.square(frames), axis=-1) < _SILENCE_POWER
 
 
-def gcc_phat_tdoa(left: np.ndarray, right: np.ndarray,
-                  max_lag: int = GCC_MAX_LAG) -> int:
+def gcc_phat_tdoa(left: np.ndarray, right: np.ndarray) -> int:
     """Integer interaural delay estimate via PHAT-weighted cross-correlation.
 
     Positive lag means the left channel is the delayed one (source toward
@@ -91,44 +75,42 @@ def gcc_phat_tdoa(left: np.ndarray, right: np.ndarray,
     right = np.asarray(right, dtype=np.float64)
     if len(left) != len(right):
         raise LengthMismatch("frames must have equal length")
-    if len(left) < 2 * max_lag:
-        raise ValueError("frames must be at least 2*max_lag long")
+    if len(left) < 2 * GCC_MAX_LAG:
+        raise ValueError("frames must be at least 2*GCC_MAX_LAG long")
     if frame_is_silent(left) and frame_is_silent(right):
         return 0
+    return _phat_lag(left, right)
 
+
+def _phat_lag(left: np.ndarray, right: np.ndarray) -> int:
     nfft = 2 * len(left)
     spec = np.fft.rfft(left, nfft) * np.conj(np.fft.rfft(right, nfft))
     spec /= np.maximum(np.abs(spec), PHAT_FLOOR)
     cc = np.fft.irfft(spec, nfft)
-    lags = np.concatenate([cc[-max_lag:], cc[: max_lag + 1]])
-    return int(np.argmax(lags)) - max_lag
+    lags = np.concatenate([cc[-GCC_MAX_LAG:], cc[: GCC_MAX_LAG + 1]])
+    return int(np.argmax(lags)) - GCC_MAX_LAG
 
 
-def _tdoa_track(buffer: AudioBuffer, params: StftParams, max_lag: int):
+def _tdoa_track(buffer: AudioBuffer):
     """Per-frame TDOA plus a per-frame silence mask (True = usable)."""
-    lf = _frames(buffer.left, params)
-    rf = _frames(buffer.right, params)
-    floor = 10.0 ** (SILENCE_FLOOR_DBFS / 10.0)
-    usable = (np.mean(np.square(lf), axis=1) >= floor) \
-        | (np.mean(np.square(rf), axis=1) >= floor)
+    lf = _frames(buffer.left)
+    rf = _frames(buffer.right)
+    usable = ~(frame_is_silent(lf) & frame_is_silent(rf))
     tdoas = np.zeros(len(lf), dtype=np.int64)
-    for i in range(len(lf)):
-        if usable[i]:
-            tdoas[i] = gcc_phat_tdoa(lf[i], rf[i], max_lag)
+    for i in np.flatnonzero(usable):
+        tdoas[i] = _phat_lag(lf[i], rf[i])
     return tdoas, usable
 
 
-def gcc_mse(a: AudioBuffer, b: AudioBuffer,
-            params: StftParams = DEFAULT_STFT,
-            max_lag: int = GCC_MAX_LAG) -> float:
+def gcc_mse(a: AudioBuffer, b: AudioBuffer) -> float:
     """Mean squared difference of per-frame interaural delays (samples^2).
 
     Frames silent in either buffer are excluded.
     """
     if a.num_samples != b.num_samples:
         raise LengthMismatch("buffers must have equal length")
-    ta, ua = _tdoa_track(a, params, max_lag)
-    tb, ub = _tdoa_track(b, params, max_lag)
+    ta, ua = _tdoa_track(a)
+    tb, ub = _tdoa_track(b)
     mask = ua & ub
     if not np.any(mask):
         raise NoVoicedFrames("all frames are below the silence floor")

@@ -28,7 +28,7 @@ from .designer import (DesignerConfig, DesignerMode, design_plan_llm,
                        design_plan_template)
 from .engine import execute_plan
 from .errors import (EmptyCatalog, FailureBudgetExceeded,
-                     OutputDirNotWritable, ValidationFailed)
+                     OutputDirNotWritable, StereoEditError, ValidationFailed)
 from .plans import (EditPlan, canonicalize_plan, plan_to_json,
                     serialize_step, validate_plan)
 from .spatial import Direction, EventSpec, Scene
@@ -224,7 +224,7 @@ def _worker(args):
     catalog, config, index = args
     try:
         return index, synthesize_record(catalog, config, index), None
-    except Exception as exc:  # failures are budgeted, not fatal, per record
+    except StereoEditError as exc:  # data failures are budgeted, per record
         return index, None, f"{type(exc).__name__}: {exc}"
 
 

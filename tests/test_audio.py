@@ -65,6 +65,15 @@ def test_read_wav_garbage(tmp_path):
         read_wav(path)
 
 
+def test_read_wav_rejects_non_finite_float(tmp_path):
+    path = tmp_path / "inf.wav"
+    data = np.zeros((100, 2), dtype=np.float32)
+    data[3, 0] = np.inf
+    wavfile.write(path, SAMPLE_RATE, data)
+    with pytest.raises(UnsupportedFormat, match="finite"):
+        read_wav(path)
+
+
 def test_write_wav_roundtrip_bitexact(tmp_path):
     rng = np.random.default_rng(0)
     samples = rng.uniform(-1, 1, (2, 1000)).astype(np.float32).astype(np.float64)

@@ -1,8 +1,10 @@
 import json
 import random
+import shutil
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from stereoedit.audio import read_wav
 from stereoedit.catalog import build_catalog
@@ -225,3 +227,61 @@ def test_config_that_is_not_an_object_is_schema_error(tmp_path, capsys):
     assert main(["--config", str(cfg), "parse", str(plan)]) == 2
     assert main(["synth", str(cfg)]) == 2
     assert capsys.readouterr().err.count("config must be an object") == 2
+
+
+@pytest.fixture(scope="module")
+def dataset(catalog, tmp_path_factory):
+    out = tmp_path_factory.mktemp("dataset")
+    run_pipeline(PipelineConfig(record_count=1, output_dir=str(out), seed=4),
+                 catalog=catalog)
+    return out
+
+
+def _blocker(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return blocker
+
+
+def test_edit_unwritable_out_dir_is_io_error(scene_file, tmp_path, capsys):
+    label = json.loads(scene_file.read_text())["events"][0]["label"]
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"Turn up the sound of {label} by 1 dB\n")
+    out = _blocker(tmp_path) / "out"
+    assert main(["--seed", "1", "edit", str(scene_file), str(plan),
+                 str(out)]) == 3
+    assert "error" in capsys.readouterr().err
+
+
+def test_eval_unwritable_csv_is_io_error(dataset, tmp_path, capsys):
+    csv_path = _blocker(tmp_path) / "s.csv"
+    assert main(["eval", str(dataset / MANIFEST_NAME), str(dataset),
+                 "--csv", str(csv_path)]) == 3
+    assert "error" in capsys.readouterr().err
+
+
+def _candidates(dataset, tmp_path, damage):
+    cand = tmp_path / "cand"
+    shutil.copytree(dataset / "audio", cand / "audio")
+    first = sorted((cand / "audio").iterdir())[0]
+    damage(first)
+    return cand
+
+
+def _write_nan_wav(path):
+    rate, data = wavfile.read(path)
+    data[5, 1] = np.nan
+    wavfile.write(path, rate, data)
+
+
+def test_eval_non_finite_candidate_is_schema_error(dataset, tmp_path, capsys):
+    cand = _candidates(dataset, tmp_path, _write_nan_wav)
+    assert main(["eval", str(dataset / MANIFEST_NAME), str(cand)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_eval_unreadable_candidate_is_io_error(dataset, tmp_path, capsys):
+    cand = _candidates(dataset, tmp_path,
+                       lambda path: path.write_bytes(b"RIFF\x00\x01"))
+    assert main(["eval", str(dataset / MANIFEST_NAME), str(cand)]) == 3
+    assert "error" in capsys.readouterr().err

@@ -139,6 +139,21 @@ def test_run_pipeline_failure_budget(catalog, tmp_path, monkeypatch):
         run_pipeline(cfg, catalog=catalog)
 
 
+def test_run_pipeline_programming_error_is_not_budgeted(catalog, tmp_path,
+                                                        monkeypatch):
+    import stereoedit.pipeline as pl
+
+    def broken(cat, cfg, index):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(pl, "build_trajectory", broken)
+    cfg = PipelineConfig(record_count=2, output_dir=str(tmp_path), seed=0,
+                         failure_budget=10)
+    with pytest.raises(RuntimeError, match="bug"):
+        run_pipeline(cfg, catalog=catalog)
+    assert not (tmp_path / MANIFEST_NAME).exists()
+
+
 def test_canonical_manifest_ignores_timestamp(catalog, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
