@@ -209,12 +209,19 @@ def cmd_eval(args) -> int:
         rows = read_manifest(args.manifest)
     except OSError as exc:
         raise CliError(f"cannot read manifest: {exc}", EXIT_IO)
+    except ValueError as exc:
+        raise CliError(f"malformed manifest: {exc}", EXIT_SCHEMA)
     manifest_dir = Path(args.manifest).parent
     candidate_dir = Path(args.candidate_dir)
 
     out_rows = [["record_id", "audio_index", "lsd", "gcc_mse"]]
     for row in rows:
-        for i, rel in enumerate(row["audio_paths"]):
+        try:
+            record_id, audio_paths = row["record_id"], row["audio_paths"]
+        except (KeyError, TypeError):
+            raise CliError("malformed manifest: every row needs record_id "
+                           "and audio_paths", EXIT_SCHEMA)
+        for i, rel in enumerate(audio_paths):
             ref_path = manifest_dir / rel
             cand_path = candidate_dir / rel
             if not cand_path.is_file():
@@ -223,7 +230,7 @@ def cmd_eval(args) -> int:
                 raise CliError(f"missing candidate audio for {rel}", EXIT_IO)
             ref = _read_buffer(ref_path)
             cand = _read_buffer(cand_path)
-            out_rows.append([row["record_id"], i,
+            out_rows.append([record_id, i,
                              f"{lsd(ref, cand):.9g}",
                              f"{gcc_mse(ref, cand):.9g}"])
 

@@ -285,3 +285,18 @@ def test_eval_unreadable_candidate_is_io_error(dataset, tmp_path, capsys):
                        lambda path: path.write_bytes(b"RIFF\x00\x01"))
     assert main(["eval", str(dataset / MANIFEST_NAME), str(cand)]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_eval_undecodable_manifest_is_schema_error(dataset, tmp_path, capsys):
+    manifest = tmp_path / MANIFEST_NAME
+    manifest.write_text("{broken\n")
+    assert main(["eval", str(manifest), str(dataset)]) == 2
+    assert "malformed manifest" in capsys.readouterr().err
+
+
+def test_eval_row_without_audio_paths_is_schema_error(dataset, tmp_path,
+                                                      capsys):
+    manifest = tmp_path / MANIFEST_NAME
+    manifest.write_text(json.dumps({"record_id": "r0"}) + "\n")
+    assert main(["eval", str(manifest), str(dataset)]) == 2
+    assert "audio_paths" in capsys.readouterr().err

@@ -1,14 +1,18 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stereoedit.audio import SAMPLE_RATE, AudioBuffer, SourceClip
 from stereoedit.engine import OracleEditor
 from stereoedit.errors import LengthMismatch, NoVoicedFrames
-from stereoedit.metrics import (RoundTripResult, frame_is_silent, gcc_mse,
-                                gcc_phat_tdoa, lsd, roundtrip_drift)
+from stereoedit.metrics import (EPS_POWER, GCC_MAX_LAG, HOP, PHAT_FLOOR,
+                                WINDOW, RoundTripResult, _tdoa_track,
+                                frame_is_silent, gcc_mse, gcc_phat_tdoa, lsd,
+                                roundtrip_drift)
 from stereoedit.pipeline import sample_scene
 from stereoedit.spatial import Direction, EventSpec, Scene, render_scene
 
@@ -34,6 +38,123 @@ def test_metric_values_pinned(catalog):
               (7.464492011986598, 549.0149253731344)]
     got = [(lsd(a, b), gcc_mse(a, b)) for a, b in _pinned_pairs(catalog)]
     assert got == pinned
+
+
+# The unblocked formulas the metrics had before frames were analysed in
+# blocks: every frame of a channel in one array for LSD, one PHAT call per
+# usable frame for the TDOA track. Blocking must not change a bit.
+
+def _reference_power(x):
+    frames = sliding_window_view(x, WINDOW)[::HOP]
+    spec = np.fft.rfft(frames * np.hanning(WINDOW + 1)[:-1], axis=1)
+    return np.abs(spec) ** 2
+
+
+def _reference_lsd(a, b):
+    per_channel = []
+    for ch in range(2):
+        pa = _reference_power(a.samples[ch]) + EPS_POWER
+        pb = _reference_power(b.samples[ch]) + EPS_POWER
+        diff = 10.0 * np.log10(pa / pb)
+        per_channel.append(np.mean(np.sqrt(np.mean(diff ** 2, axis=1))))
+    return float(np.mean(per_channel))
+
+
+def _reference_phat_lag(left, right):
+    nfft = 2 * len(left)
+    spec = np.fft.rfft(left, nfft) * np.conj(np.fft.rfft(right, nfft))
+    spec /= np.maximum(np.abs(spec), PHAT_FLOOR)
+    cc = np.fft.irfft(spec, nfft)
+    lags = np.concatenate([cc[-GCC_MAX_LAG:], cc[: GCC_MAX_LAG + 1]])
+    return int(np.argmax(lags)) - GCC_MAX_LAG
+
+
+def _reference_tdoa_track(buffer):
+    lf = sliding_window_view(buffer.left, WINDOW)[::HOP]
+    rf = sliding_window_view(buffer.right, WINDOW)[::HOP]
+    usable = ~(frame_is_silent(lf) & frame_is_silent(rf))
+    tdoas = np.zeros(len(lf), dtype=np.int64)
+    for i in np.flatnonzero(usable):
+        tdoas[i] = _reference_phat_lag(lf[i], rf[i])
+    return tdoas, usable
+
+
+def _reference_gcc_mse(a, b):
+    ta, ua = _reference_tdoa_track(a)
+    tb, ub = _reference_tdoa_track(b)
+    mask = ua & ub
+    return float(np.mean((ta[mask] - tb[mask]).astype(np.float64) ** 2))
+
+
+def _delayed_noise(n_frames, seed, delay):
+    """Stereo noise, shape (2, n), whose right channel lags the left by
+    ``delay`` samples."""
+    rng = np.random.default_rng(seed)
+    n = WINDOW + (n_frames - 1) * HOP
+    x = rng.uniform(-0.4, 0.4, n + 2 * GCC_MAX_LAG)
+    shifted = x[GCC_MAX_LAG - delay:GCC_MAX_LAG - delay + n]
+    return np.stack([x[GCC_MAX_LAG:GCC_MAX_LAG + n], shifted]) + rng.normal(
+        0.0, 0.05, (2, n))
+
+
+def _assert_matches_reference(a, b):
+    assert lsd(a, b) == _reference_lsd(a, b)
+    assert gcc_mse(a, b) == _reference_gcc_mse(a, b)
+    for buffer in (a, b):
+        tdoas, usable = _tdoa_track(buffer)
+        ref_tdoas, ref_usable = _reference_tdoa_track(buffer)
+        assert tdoas.tolist() == ref_tdoas.tolist()
+        assert usable.tolist() == ref_usable.tolist()
+
+
+@pytest.mark.parametrize("n_frames", [1, 31, 32, 33, 65])
+def test_blocked_analysis_matches_reference(n_frames):
+    a = AudioBuffer(_delayed_noise(n_frames, seed=n_frames, delay=3))
+    b = AudioBuffer(_delayed_noise(n_frames, seed=n_frames + 100, delay=11))
+    assert _tdoa_track(a)[0].shape == (n_frames,)
+    _assert_matches_reference(a, b)
+
+
+def test_blocked_analysis_matches_reference_across_silence():
+    samples = _delayed_noise(100, seed=5, delay=7)
+    # both channels silent in frames 24-30, 35 and 63; left alone
+    # silent from frame 70 on, which keeps those frames usable
+    for start, stop in [(6000, 8800), (8900, 10000), (16100, 17200)]:
+        samples[:, start:stop] = 0.0
+    samples[0, 17920:] = 0.0
+    a = AudioBuffer(samples)
+    b = AudioBuffer(_delayed_noise(100, seed=6, delay=-9))
+    usable = _tdoa_track(a)[1]
+    assert np.flatnonzero(~usable).tolist() == [24, 25, 26, 27, 28, 29, 30,
+                                                 35, 63]
+    _assert_matches_reference(a, b)
+    _assert_matches_reference(b, a)
+
+
+def test_gcc_phat_tdoa_returns_int():
+    x = np.random.default_rng(4).standard_normal(1024)
+    lag = gcc_phat_tdoa(np.roll(x, 5), x)
+    assert type(lag) is int and lag == 5
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("metric", [lsd, gcc_mse])
+def test_metric_memory_is_bounded(metric):
+    # 10 s of stereo: the complex spectrum of all of one channel's frames
+    # alone is about 7 MiB, so a bounded call never builds one
+    a = _noise_buffer(0, n=10 * SAMPLE_RATE)
+    b = _noise_buffer(1, n=10 * SAMPLE_RATE)
+    assert _traced_peak(lambda: metric(a, b)) < 2.5 * 2 ** 20
 
 
 def test_shorter_than_window_raises():
@@ -120,6 +241,13 @@ def test_gcc_mse_detects_direction_change():
     right = render_scene(Scene(
         (EventSpec("e0", "x", clip, Direction.RIGHT, 0.0),), dur))
     assert gcc_mse(left, right) == pytest.approx(32.0 ** 2, rel=0.05)
+
+
+def test_gcc_mse_rate_mismatch():
+    a = _noise_buffer(0)
+    b = AudioBuffer(_noise_buffer(1).samples, sample_rate_hz=16000)
+    with pytest.raises(LengthMismatch):
+        gcc_mse(a, b)
 
 
 def test_gcc_mse_all_silent_raises():
