@@ -7,6 +7,7 @@ converted on ingest and export only.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from math import gcd
 
@@ -100,12 +101,18 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     """Read a PCM/float WAV (a path or a binary file object) into float64 in
     [-1, 1], shape (n,) or (n, ch)."""
     try:
-        rate, data = wavfile.read(path)
+        with warnings.catch_warnings():
+            # else scipy returns the frames before a cut in the data chunk
+            warnings.filterwarnings("error", "Reached EOF prematurely",
+                                    wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
     except FileNotFoundError as exc:
         raise UnreadableFile(f"file not found: {path}") from exc
     except ValueError as exc:
         raise UnsupportedFormat(f"{path}: {exc}") from exc
-    except Exception as exc:  # truncated/garbage files
+    except Exception as exc:
+        # scipy raises struct.error, UnboundLocalError, ZeroDivisionError
+        # and TypeError on corrupt headers, besides the warning above
         raise UnreadableFile(f"{path}: {exc}") from exc
 
     if data.dtype == np.uint8:
@@ -119,6 +126,14 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     else:
         raise UnsupportedFormat(f"{path}: unsupported sample dtype {data.dtype}")
     return rate, out
+
+
+def read_stereo(path) -> AudioBuffer:
+    """Read a 2-channel WAV (a path or a binary file object) as a buffer."""
+    rate, data = read_wav(path)
+    if data.ndim != 2 or data.shape[1] != 2:
+        raise UnsupportedFormat(f"{path}: expected a stereo WAV")
+    return AudioBuffer(data.T, sample_rate_hz=rate)
 
 
 def write_wav(path, buffer: AudioBuffer) -> None:

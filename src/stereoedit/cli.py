@@ -1,8 +1,10 @@
 """Command-line surface: render, edit, parse, synth, eval, roundtrip.
 
-Exit codes: 0 success, 2 schema/parse/validation error, 3 I/O error,
-4 engine error. With --log-level=json, errors go to stderr as one-line
-JSON records.
+Exit codes, set by each error class and mapped in ``main`` alone:
+0 success; 2 input rejected (ParseError, JsonSyntaxError, SchemaError,
+UnsupportedFormat, ValidationFailed); 3 I/O (any OSError, UnreadableFile,
+OutputDirNotWritable); 4 any other StereoEditError. With --log-level=json,
+errors go to stderr as one-line JSON records.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .audio import AudioBuffer, read_wav, write_wav
+from .audio import read_stereo, write_wav
 from .catalog import build_catalog
 from .demo import build_demo_catalog
 from .engine import (HttpEditorAdapter, OracleEditor, SubprocessEditorAdapter,
                      execute_plan)
-from .errors import (JsonSyntaxError, ParseError, SchemaError, StereoEditError,
-                     UnreadableFile, UnsupportedFormat)
+from .errors import (ParseError, SchemaError, StereoEditError, UnreadableFile,
+                     ValidationFailed)
 from .metrics import gcc_mse, lsd, roundtrip_drift
 from .pipeline import (PipelineConfig, canonical_manifest_bytes, read_manifest,
                        run_pipeline, scene_from_json)
@@ -34,15 +36,6 @@ from .spatial import render_scene
 log = logging.getLogger("stereoedit")
 
 EXIT_OK = 0
-EXIT_SCHEMA = 2
-EXIT_IO = 3
-EXIT_ENGINE = 4
-
-
-class CliError(Exception):
-    def __init__(self, message: str, exit_code: int):
-        super().__init__(message)
-        self.exit_code = exit_code
 
 
 def _load_config_file(path: str) -> dict:
@@ -53,46 +46,36 @@ def _load_config_file(path: str) -> dict:
             try:
                 import tomli as tomllib
             except ImportError:
-                raise CliError("TOML config requires Python >= 3.11 or tomli",
-                               EXIT_IO)
+                raise UnreadableFile(
+                    "TOML config requires Python >= 3.11 or tomli")
         loads, decode_error = tomllib.loads, tomllib.TOMLDecodeError
     else:
         loads, decode_error = json.loads, json.JSONDecodeError
     try:
         data = loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, decode_error) as exc:
-        raise CliError(f"cannot read config: {exc}", EXIT_IO)
+        raise UnreadableFile(f"cannot read config: {exc}") from exc
     if not isinstance(data, dict):
-        raise CliError(f"config must be an object of option values, "
-                       f"not {type(data).__name__}", EXIT_SCHEMA)
+        raise SchemaError(f"config must be an object of option values, "
+                          f"not {type(data).__name__}")
     return data
 
 
 def _load_plan(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read plan: {exc}", EXIT_IO)
-    stripped = text.lstrip()
-    try:
-        if stripped[:1] in ("{", "["):
-            return parse_plan_json(text)
-        return parse_plan_text(text)
-    except (ParseError, JsonSyntaxError, SchemaError) as exc:
-        raise CliError(f"plan parse failed: {exc}", EXIT_SCHEMA)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"plan file is not text: {exc}") from exc
+    if text.lstrip()[:1] in ("{", "["):
+        return parse_plan_json(text)
+    return parse_plan_text(text)
 
 
 def _load_scene(path: str):
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise CliError(f"cannot read scene file: {exc}", EXIT_IO)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"scene file is not valid JSON: {exc}", EXIT_SCHEMA)
-    try:
-        return scene_from_json(data)
-    except (KeyError, ValueError, TypeError, StereoEditError) as exc:
-        raise CliError(f"invalid scene description: {exc}", EXIT_SCHEMA)
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        return scene_from_json(json.loads(Path(path).read_text()))
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+        raise SchemaError(f"invalid scene description: {exc}") from exc
 
 
 def _resolve_seed(args) -> int:
@@ -123,16 +106,13 @@ def cmd_edit(args) -> int:
     if not report.is_valid:
         for v in report.violations:
             print(f"violation {v.rule_id}: {v.message}", file=sys.stderr)
-        raise CliError("plan failed validation", EXIT_SCHEMA)
+        raise ValidationFailed("plan failed validation")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     catalog = build_catalog(args.catalog) if args.catalog else None
     rng = random.Random(_resolve_seed(args))
-    try:
-        trajectory, _ = execute_plan(scene, plan, catalog=catalog, rng=rng)
-    except StereoEditError as exc:
-        raise CliError(f"engine error: {exc}", EXIT_ENGINE)
+    trajectory, _ = execute_plan(scene, plan, catalog=catalog, rng=rng)
 
     paths = []
     for i, (_, audio) in enumerate(trajectory):
@@ -163,7 +143,7 @@ def cmd_parse(args) -> int:
         "is_valid": report.is_valid,
     }
     print(json.dumps(output, indent=2))
-    return EXIT_OK if report.is_valid else EXIT_SCHEMA
+    return EXIT_OK if report.is_valid else ValidationFailed.exit_code
 
 
 def cmd_synth(args) -> int:
@@ -176,12 +156,9 @@ def cmd_synth(args) -> int:
     try:
         config = PipelineConfig.from_dict(data)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid pipeline config: {exc}", EXIT_SCHEMA)
+        raise SchemaError(f"invalid pipeline config: {exc}") from exc
     catalog = build_catalog(catalog_root) if catalog_root else None
-    try:
-        stats = run_pipeline(config, catalog=catalog)
-    except StereoEditError as exc:
-        raise CliError(f"pipeline error: {exc}", EXIT_ENGINE)
+    stats = run_pipeline(config, catalog=catalog)
     print(json.dumps({
         "requested": stats.requested,
         "succeeded": stats.succeeded,
@@ -192,45 +169,27 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _read_buffer(path) -> AudioBuffer:
-    try:
-        rate, data = read_wav(path)
-    except UnsupportedFormat as exc:
-        raise CliError(str(exc), EXIT_SCHEMA)
-    except UnreadableFile as exc:
-        raise CliError(str(exc), EXIT_IO)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise CliError(f"{path}: expected stereo WAV", EXIT_SCHEMA)
-    return AudioBuffer(data.T, sample_rate_hz=rate)
-
-
 def cmd_eval(args) -> int:
-    try:
-        rows = read_manifest(args.manifest)
-    except OSError as exc:
-        raise CliError(f"cannot read manifest: {exc}", EXIT_IO)
-    except ValueError as exc:
-        raise CliError(f"malformed manifest: {exc}", EXIT_SCHEMA)
+    rows = read_manifest(args.manifest)
     manifest_dir = Path(args.manifest).parent
     candidate_dir = Path(args.candidate_dir)
 
     out_rows = [["record_id", "audio_index", "lsd", "gcc_mse"]]
     for row in rows:
-        try:
-            record_id, audio_paths = row["record_id"], row["audio_paths"]
-        except (KeyError, TypeError):
-            raise CliError("malformed manifest: every row needs record_id "
-                           "and audio_paths", EXIT_SCHEMA)
+        audio_paths = row.get("audio_paths")
+        if ("record_id" not in row or not isinstance(audio_paths, list)
+                or not all(isinstance(rel, str) for rel in audio_paths)):
+            raise SchemaError("malformed manifest: every row needs record_id "
+                              "and audio_paths, a list of paths")
         for i, rel in enumerate(audio_paths):
-            ref_path = manifest_dir / rel
             cand_path = candidate_dir / rel
             if not cand_path.is_file():
                 cand_path = candidate_dir / Path(rel).name
             if not cand_path.is_file():
-                raise CliError(f"missing candidate audio for {rel}", EXIT_IO)
-            ref = _read_buffer(ref_path)
-            cand = _read_buffer(cand_path)
-            out_rows.append([record_id, i,
+                raise UnreadableFile(f"missing candidate audio for {rel}")
+            ref = read_stereo(manifest_dir / rel)
+            cand = read_stereo(cand_path)
+            out_rows.append([row["record_id"], i,
                              f"{lsd(ref, cand):.9g}",
                              f"{gcc_mse(ref, cand):.9g}"])
 
@@ -255,19 +214,15 @@ def _make_editor(spec: str, args):
                                        timeout_s=args.timeout)
     if kind == "http":
         return HttpEditorAdapter(rest, timeout_s=args.timeout)
-    raise CliError(f"unknown editor spec {spec!r}; use oracle:/subprocess:/http:",
-                   EXIT_SCHEMA)
+    raise SchemaError(
+        f"unknown editor spec {spec!r}; use oracle:/subprocess:/http:")
 
 
 def cmd_roundtrip(args) -> int:
     editor = _make_editor(args.editor_spec, args)
-    audio = _read_buffer(args.audio)
-    try:
-        result = roundtrip_drift(editor, audio, args.label,
-                                 rounds=args.rounds, csv_path=args.csv,
-                                 editor_id=args.editor_spec)
-    except StereoEditError as exc:
-        raise CliError(f"editor error: {exc}", EXIT_ENGINE)
+    audio = read_stereo(args.audio)
+    result = roundtrip_drift(editor, audio, args.label, rounds=args.rounds,
+                             csv_path=args.csv, editor_id=args.editor_spec)
     for i, value in enumerate(result.lsd_per_round, 1):
         print(f"round {i}: lsd {value:.9g}")
     return EXIT_OK
@@ -374,10 +329,10 @@ def main(argv=None) -> int:
         level = (args.log_level or "warning").upper()
         logging.basicConfig(level=getattr(logging, level, logging.WARNING))
         return args.func(args)
-    except OSError as exc:  # any failed read or write not reported above
-        error, code = exc, EXIT_IO
-    except (CliError, StereoEditError) as exc:
-        error, code = exc, getattr(exc, "exit_code", EXIT_ENGINE)
+    except OSError as exc:  # any failed read or write
+        error, code = exc, UnreadableFile.exit_code
+    except StereoEditError as exc:
+        error, code = exc, exc.exit_code
     if args.log_level == "json":
         print(json.dumps({"error": str(error), "exit_code": code}),
               file=sys.stderr)

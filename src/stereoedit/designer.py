@@ -18,8 +18,9 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import (AuthFailure, EndpointUnreachable, MalformedResponse,
-                     NoCompatibleScenario, ValidationFailed)
+from .errors import (AuthFailure, EndpointUnreachable, JsonSyntaxError,
+                     MalformedResponse, NoCompatibleScenario, SchemaError,
+                     ValidationFailed)
 from .plans import (Add, Change, EditPlan, Remove, TurnDown, TurnUp,
                     normalize_label, parse_plan_json, validate_plan)
 from .spatial import Direction
@@ -285,21 +286,24 @@ def _batch_request_text(batch) -> str:
                 len(batch), json.dumps([list(b) for b in batch])))
 
 
-def _parse_content(content: str, expect_list: bool):
-    body = strip_markdown_fence(content).strip()
+def _parse_content(content: str, count: int) -> list:
+    """A response's plan objects: one JSON value, or an array of ``count``."""
     try:
-        data = json.loads(body)
-    except json.JSONDecodeError as exc:
+        data = json.loads(strip_markdown_fence(content).strip())
+    except (TypeError, RecursionError, json.JSONDecodeError) as exc:
+        # not text, nested too deep to parse, or not JSON
         raise MalformedResponse(f"response is not JSON: {exc}") from exc
-    if expect_list and not isinstance(data, list):
-        raise MalformedResponse("expected a JSON array of plans")
+    if count == 1:
+        return [data]
+    if not isinstance(data, list) or len(data) != count:
+        raise MalformedResponse(f"expected a JSON array of {count} plans")
     return data
 
 
 def _plan_from_obj(obj, scene_labels) -> EditPlan:
     try:
         plan = parse_plan_json(json.dumps(obj))
-    except Exception as exc:
+    except (JsonSyntaxError, SchemaError) as exc:
         raise MalformedResponse(f"plan does not match schema: {exc}") from exc
     report = validate_plan(plan, scene_labels)
     if not report.is_valid:
@@ -325,61 +329,40 @@ def design_plan_llm(scene_labels_batch, config: DesignerConfig,
         transport = _default_transport(config)
 
     batch = [list(labels) for labels in scene_labels_batch]
+    indices = range(len(batch))
     plans: list = [None] * len(batch)
-    failures: dict = {}
-    retry_counts: dict = {i: 0 for i in range(len(batch))}
-    pending_error: dict = {}
+    errors: dict = {}
+    retry_counts = dict.fromkeys(indices, 0)
 
-    # initial pass, chunked by batch_size
-    for start in range(0, len(batch), max(1, config.batch_size)):
-        chunk = list(range(start, min(start + max(1, config.batch_size),
-                                      len(batch))))
-        if len(chunk) == 1:
-            text = _single_request_text(batch[chunk[0]])
-        else:
-            text = _batch_request_text([batch[i] for i in chunk])
+    def request(chunk):
+        """Request the scenes at indices ``chunk``; store each plan or error."""
+        text = (_single_request_text(batch[chunk[0]]) if len(chunk) == 1
+                else _batch_request_text([batch[i] for i in chunk]))
         try:
-            content = transport(_build_payload(config, text))
-            objs = _parse_content(content, expect_list=len(chunk) > 1)
-            if len(chunk) == 1:
-                objs = [objs]
-            if len(objs) != len(chunk):
-                raise MalformedResponse(
-                    f"expected {len(chunk)} plans, got {len(objs)}")
-        except (EndpointUnreachable, AuthFailure):
-            raise
-        except Exception as exc:
-            for i in chunk:
-                pending_error[i] = exc
-            continue
+            objs = _parse_content(transport(_build_payload(config, text)),
+                                  len(chunk))
+        except MalformedResponse as exc:
+            errors.update(dict.fromkeys(chunk, exc))
+            return
         for i, obj in zip(chunk, objs):
             try:
                 plans[i] = _plan_from_obj(obj, batch[i])
-            except Exception as exc:
-                pending_error[i] = exc
+            except (MalformedResponse, ValidationFailed) as exc:
+                errors[i] = exc
 
-    # individual retries
-    for i in range(len(batch)):
-        if plans[i] is not None:
-            continue
-        last_error = pending_error.get(i)
-        while retry_counts[i] < config.max_retries and plans[i] is None:
+    # initial pass, chunked by batch_size, then individual retries
+    step = max(1, config.batch_size)
+    for start in range(0, len(batch), step):
+        request(indices[start:start + step])
+    for i in indices:
+        while plans[i] is None and retry_counts[i] < config.max_retries:
             retry_counts[i] += 1
             log.info("designer retry %d/%d for scene %d (%s)",
-                     retry_counts[i], config.max_retries, i, last_error)
-            try:
-                content = transport(
-                    _build_payload(config, _single_request_text(batch[i])))
-                obj = _parse_content(content, expect_list=False)
-                plans[i] = _plan_from_obj(obj, batch[i])
-            except (EndpointUnreachable, AuthFailure):
-                raise
-            except Exception as exc:
-                last_error = exc
+                     retry_counts[i], config.max_retries, i, errors[i])
+            request([i])
         if plans[i] is None:
             log.warning("designer dropped scene %d after %d retries: %s",
-                        i, retry_counts[i], last_error)
-            failures[i] = last_error
-
+                        i, retry_counts[i], errors[i])
+    failures = {i: errors[i] for i in indices if plans[i] is None}
     return DesignerBatchResult(plans=plans, failures=failures,
                                retry_counts=retry_counts)

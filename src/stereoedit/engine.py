@@ -16,10 +16,11 @@ import subprocess
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .audio import AudioBuffer, prepare_clip, read_wav, write_wav
+from .audio import AudioBuffer, prepare_clip, read_stereo, write_wav
 from .catalog import Catalog, retrieve_clip
 from .errors import (AdapterProtocolError, AdapterTimeout, AmbiguousTarget,
-                     EmptyCatalog, EmptySceneResult, TargetNotFound)
+                     EmptyCatalog, EmptySceneResult, EndpointUnreachable,
+                     TargetNotFound, UnreadableFile, UnsupportedFormat)
 from .plans import (Add, AtomicStep, Change, EditPlan, Extract, Remove,
                     TurnDown, TurnUp, normalize_label, serialize_step)
 from .spatial import Direction, EventSpec, Scene, render_scene
@@ -111,6 +112,7 @@ def execute_plan(scene: Scene, plan: EditPlan,
         try:
             outcome = apply_step(current, step, catalog=catalog, rng=rng)
         except Exception as exc:
+            # label and re-raise the same object (add_note needs Python 3.11)
             exc.args = (f"step {i} ({serialize_step(step)}): {exc}",)
             raise
         current = outcome.scene_after
@@ -148,18 +150,15 @@ class OracleEditor(Editor):
 def _check_adapter_output(audio_before: AudioBuffer, wav) -> AudioBuffer:
     """Validate an editor's output WAV (a path or a binary file object)."""
     try:
-        rate, data = read_wav(wav)
-    except Exception as exc:
-        raise AdapterProtocolError(f"unreadable editor output: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise AdapterProtocolError("editor output is not stereo")
-    if rate != audio_before.sample_rate_hz:
+        audio = read_stereo(wav)
+    except (UnreadableFile, UnsupportedFormat) as exc:
+        raise AdapterProtocolError(f"bad editor output: {exc}") from exc
+    got = (audio.sample_rate_hz, audio.num_samples)
+    want = (audio_before.sample_rate_hz, audio_before.num_samples)
+    if got != want:
         raise AdapterProtocolError(
-            f"editor output rate {rate} != {audio_before.sample_rate_hz}")
-    if data.shape[0] != audio_before.num_samples:
-        raise AdapterProtocolError(
-            f"editor output length {data.shape[0]} != {audio_before.num_samples}")
-    return AudioBuffer(data.T)
+            f"editor output (rate, length) {got} != input {want}")
+    return audio
 
 
 class SubprocessEditorAdapter(Editor):
@@ -219,10 +218,14 @@ class HttpEditorAdapter(Editor):
             "step": serialize_step(step),
             "audio_b64": base64.b64encode(wav.getvalue()).decode("ascii"),
         }
+        import requests
+
         try:
             resp = self.session.post(self.url, json=payload, timeout=self.timeout_s)
-        except Exception as exc:
-            raise AdapterTimeout(f"editor endpoint unreachable: {exc}") from exc
+        except requests.Timeout as exc:
+            raise AdapterTimeout(f"editor endpoint timed out: {exc}") from exc
+        except requests.RequestException as exc:
+            raise EndpointUnreachable(f"editor endpoint: {exc}") from exc
         if resp.status_code != 200:
             raise AdapterProtocolError(f"editor endpoint returned {resp.status_code}")
         try:

@@ -2,17 +2,20 @@
 
 
 class StereoEditError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``exit_code`` is the CLI's exit
+    status for the error (2 input rejected, 3 I/O, 4 otherwise)."""
+
+    exit_code = 4
 
 
 # --- audio ingestion ---
 
 class UnreadableFile(StereoEditError):
-    pass
+    exit_code = 3
 
 
 class UnsupportedFormat(StereoEditError):
-    pass
+    exit_code = 2
 
 
 class SilentClip(StereoEditError):
@@ -38,6 +41,8 @@ class EmptySceneResult(StereoEditError):
 class ParseError(StereoEditError):
     """Template-text parse failure; carries position and expectation hint."""
 
+    exit_code = 2
+
     def __init__(self, message, position=None, expected=None):
         super().__init__(message)
         self.position = position
@@ -45,11 +50,11 @@ class ParseError(StereoEditError):
 
 
 class JsonSyntaxError(StereoEditError):
-    pass
+    exit_code = 2
 
 
 class SchemaError(StereoEditError):
-    pass
+    exit_code = 2
 
 
 # --- designer ---
@@ -71,7 +76,7 @@ class MalformedResponse(StereoEditError):
 
 
 class ValidationFailed(StereoEditError):
-    pass
+    exit_code = 2
 
 
 # --- catalog / pipeline ---
@@ -89,7 +94,7 @@ class FailureBudgetExceeded(StereoEditError):
 
 
 class OutputDirNotWritable(StereoEditError):
-    pass
+    exit_code = 3
 
 
 # --- external editor adapters ---

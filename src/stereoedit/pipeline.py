@@ -28,7 +28,8 @@ from .designer import (DesignerConfig, DesignerMode, design_plan_llm,
                        design_plan_template)
 from .engine import execute_plan
 from .errors import (EmptyCatalog, FailureBudgetExceeded,
-                     OutputDirNotWritable, StereoEditError, ValidationFailed)
+                     OutputDirNotWritable, SchemaError, StereoEditError,
+                     ValidationFailed)
 from .plans import (EditPlan, canonicalize_plan, plan_to_json,
                     serialize_step, validate_plan)
 from .spatial import Direction, EventSpec, Scene
@@ -327,8 +328,15 @@ def _write_jsonl(path: Path, rows) -> int:
 
 
 def read_manifest(path) -> list[dict]:
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """The rows of a JSONL manifest, each a JSON object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh if line.strip()]
+    except (RecursionError, ValueError) as exc:  # not UTF-8 or not JSON
+        raise SchemaError(f"malformed manifest: {exc}") from exc
+    if not all(isinstance(row, dict) for row in rows):
+        raise SchemaError("malformed manifest: every row must be an object")
+    return rows
 
 
 def canonical_manifest_bytes(path) -> bytes:

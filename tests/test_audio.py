@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -187,3 +188,27 @@ def test_peak_matches_abs_max_without_a_temporary():
     assert peak < 2 ** 20
     assert AudioBuffer(np.zeros((2, 0))).peak() == 0.0
     assert AudioBuffer(np.full((2, 3), 0.25)).peak() == 0.25
+
+
+def _wav_bytes(data):
+    buf = io.BytesIO()
+    wavfile.write(buf, 8000, data)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64", "int16", "int32",
+                                   "uint8"])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_read_wav_rejects_every_strict_prefix(dtype, channels):
+    rng = np.random.default_rng(0)
+    samples = rng.uniform(-0.5, 0.5, (8, channels)).squeeze()
+    if np.dtype(dtype).kind == "f":
+        data = samples.astype(dtype)
+    else:
+        info = np.iinfo(dtype)
+        data = (samples * info.max + (info.max + info.min + 1) / 2).astype(dtype)
+    whole = _wav_bytes(data)
+    assert read_wav(io.BytesIO(whole))[1].shape == data.shape
+    for cut in range(len(whole)):
+        with pytest.raises((UnreadableFile, UnsupportedFormat)):
+            read_wav(io.BytesIO(whole[:cut]))

@@ -300,3 +300,82 @@ def test_eval_row_without_audio_paths_is_schema_error(dataset, tmp_path,
     manifest.write_text(json.dumps({"record_id": "r0"}) + "\n")
     assert main(["eval", str(manifest), str(dataset)]) == 2
     assert "audio_paths" in capsys.readouterr().err
+
+
+def _write_silent_wav(path):
+    wavfile.write(path, 24000, np.zeros(2400, dtype=np.float32))
+
+
+@pytest.mark.parametrize("write_clip,code", [
+    (None, 3),               # the clip file is missing
+    (_write_silent_wav, 4),  # the clip is all zeros
+])
+def test_scene_clip_errors_keep_their_exit_code(scene_file, tmp_path,
+                                                write_clip, code):
+    clip = tmp_path / "clip.wav"
+    if write_clip:
+        write_clip(clip)
+    data = json.loads(scene_file.read_text())
+    data["events"][0]["clip_path"] = str(clip)
+    scene = tmp_path / "clip_scene.json"
+    scene.write_text(json.dumps(data))
+    assert main(["render", str(scene), str(tmp_path / "o.wav")]) == code
+
+
+@pytest.mark.parametrize("content", [b"[1]", b'{"events": [1]}', b"\xff\xfe"])
+def test_scene_file_that_is_not_a_scene_is_schema_error(tmp_path, capsys,
+                                                        content):
+    scene = tmp_path / "scene.json"
+    scene.write_bytes(content)
+    assert main(["render", str(scene), str(tmp_path / "o.wav")]) == 2
+    assert "invalid scene description" in capsys.readouterr().err
+
+
+def test_plan_file_that_is_not_text_is_parse_error(tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_bytes(b"\xff\xfeRemove the sound of rain\n")
+    assert main(["parse", str(plan)]) == 2
+
+
+def test_synth_below_a_regular_file_is_io_error(catalog_root, tmp_path,
+                                                capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "record_count": 1, "output_dir": str(_blocker(tmp_path) / "out"),
+        "catalog_root": str(catalog_root)}))
+    assert main(["synth", str(cfg)]) == 3
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("clip_bytes,code", [
+    (b"RIFF\x00\x01", 3),           # a cut-off header: unreadable
+    (b"not a wav file at all", 2),  # not a WAV: unsupported format
+])
+def test_edit_add_with_bad_catalog_clip(scene_file, tmp_path, capsys,
+                                        clip_bytes, code):
+    clip_dir = tmp_path / "catalog" / "zz clip"
+    clip_dir.mkdir(parents=True)
+    (clip_dir / "a.wav").write_bytes(clip_bytes)
+    plan = tmp_path / "plan.txt"
+    plan.write_text("Add the sound of zz clip\n")
+    assert main(["--seed", "1", "edit", str(scene_file), str(plan),
+                 str(tmp_path / "out"),
+                 "--catalog", str(tmp_path / "catalog")]) == code
+    assert "step 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,content", [
+    ("manifest-hash", b"{broken\n"),
+    ("manifest-hash", b"[1, 2]\n"),
+    ("manifest-hash", b"\xff\n"),
+    ("manifest-hash", b"[" * 100_000 + b"\n"),
+    ("eval", b'{"record_id": "r0", "audio_paths": 5}\n'),
+    ("eval", b'{"record_id": "r0", "audio_paths": [5]}\n'),
+])
+def test_malformed_manifest_is_schema_error(tmp_path, capsys, command,
+                                            content):
+    manifest = tmp_path / MANIFEST_NAME
+    manifest.write_bytes(content)
+    extra = [str(tmp_path)] if command == "eval" else []
+    assert main([command, str(manifest), *extra]) == 2
+    assert "malformed manifest" in capsys.readouterr().err

@@ -1,7 +1,10 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereoedit.designer import (BUILTIN_THEMES, DesignerConfig, DesignerMode,
                                  base_prompt, design_plan_llm,
@@ -212,3 +215,60 @@ def test_llm_all_accepted_plans_pass_validator():
     result = design_plan_llm(batches, _config(), transport=transport)
     for labels, plan in zip(batches, result.plans):
         assert validate_plan(plan, labels).is_valid
+
+
+# ---------------------------------------------------------------------------
+# LLM designer boundary: any response is a valid plan or a typed failure
+# ---------------------------------------------------------------------------
+
+_STEP_OBJECTS = st.fixed_dictionaries({
+    "operation": st.sampled_from(["remove", "add", "turn up", "turn down",
+                                  "change", "extract", "wiggle"]),
+    "target": st.sampled_from(LABELS + ["stream water", "rain", ""]),
+    "effect": st.sampled_from(["None", "3dB", "9dB", "from left to right",
+                               "at front by 2dB", "at left", "loudly"]),
+})
+_PLAN_OBJECTS = st.fixed_dictionaries(
+    {"atomic editing steps": st.lists(_STEP_OBJECTS, max_size=4)},
+    optional={"sound sources": st.just(LABELS),
+              "complex editing instruction": st.text(max_size=5)})
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8) | _PLAN_OBJECTS,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=5), children,
+                                        max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(responses=st.lists(_JSON_VALUES.map(json.dumps) | _JSON_VALUES,
+                          min_size=1, max_size=4))
+def test_llm_any_response_is_a_valid_plan_or_a_typed_failure(responses):
+    calls = itertools.count()
+    batches = [LABELS, ["rain", "thunder"]]
+    result = design_plan_llm(
+        batches, _config(max_retries=1),
+        transport=lambda payload: responses[next(calls) % len(responses)])
+    for i, labels in enumerate(batches):
+        if result.plans[i] is None:
+            assert isinstance(result.failures[i],
+                              (MalformedResponse, ValidationFailed))
+        else:
+            assert i not in result.failures
+            assert validate_plan(result.plans[i], labels).is_valid
+
+
+def test_llm_deeply_nested_response_is_malformed():
+    result = design_plan_llm([LABELS], _config(max_retries=0),
+                             transport=lambda payload: "[" * 100_000)
+    assert isinstance(result.failures[0], MalformedResponse)
+
+
+def test_llm_transport_bug_propagates():
+    def transport(payload):
+        raise RuntimeError("bug in the transport")
+
+    with pytest.raises(RuntimeError, match="bug in the transport"):
+        design_plan_llm([LABELS], _config(), transport=transport)

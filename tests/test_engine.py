@@ -5,6 +5,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import requests
 
 from stereoedit.audio import SAMPLE_RATE, SourceClip
 from stereoedit.engine import (HttpEditorAdapter, OracleEditor,
@@ -12,7 +13,7 @@ from stereoedit.engine import (HttpEditorAdapter, OracleEditor,
                                execute_plan, match_target)
 from stereoedit.errors import (AdapterProtocolError, AdapterTimeout,
                                AmbiguousTarget, EmptyCatalog, EmptySceneResult,
-                               TargetNotFound)
+                               EndpointUnreachable, TargetNotFound)
 from stereoedit.plans import (Add, Change, EditPlan, Extract, Remove,
                               TurnDown, TurnUp)
 from stereoedit.spatial import (Direction, EventSpec, Scene, db_to_linear,
@@ -310,4 +311,22 @@ def test_http_adapter_malformed_body(body):
         "http://editor.invalid/edit",
         session=_FakeSession(lambda payload: _FakeResponse(200, body)))
     with pytest.raises(AdapterProtocolError):
+        adapter.edit(render_scene(_scene()), Remove(label="rain"))
+
+
+def _raises(exc):
+    def reply(payload):
+        raise exc
+    return reply
+
+
+@pytest.mark.parametrize("raised,expected", [
+    (requests.ConnectionError("connection refused"), EndpointUnreachable),
+    (requests.Timeout("read timed out"), AdapterTimeout),
+    (RuntimeError("bug in the session"), RuntimeError),
+])
+def test_http_adapter_transport_errors(raised, expected):
+    adapter = HttpEditorAdapter("http://editor.invalid/edit",
+                                session=_FakeSession(_raises(raised)))
+    with pytest.raises(expected):
         adapter.edit(render_scene(_scene()), Remove(label="rain"))
