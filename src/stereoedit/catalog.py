@@ -51,14 +51,15 @@ def build_catalog(root) -> Catalog:
     overrides: dict[str, str] = {}
     sidecar = root / SIDECAR_NAME
     if sidecar.is_file():
-        for line_no, line in enumerate(sidecar.read_text().splitlines(), 1):
+        for line_no, line in enumerate(sidecar.read_bytes().splitlines(), 1):
             if not line.strip():
                 continue
-            try:
-                row = json.loads(line)
+            try:  # decode and parse errors are ValueErrors; deep nesting recurses
+                row = json.loads(line.decode("utf-8"))
                 overrides[str((root / row["path"]).resolve())] = \
                     normalize_label(row["label"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (AttributeError, KeyError, RecursionError, ValueError,
+                    TypeError) as exc:
                 log.warning("sidecar %s line %d skipped: %s", sidecar, line_no, exc)
 
     entries: dict[str, list[str]] = {}

@@ -39,6 +39,7 @@ EXIT_OK = 0
 
 
 def _load_config_file(path: str) -> dict:
+    loads = json.loads
     if path.endswith(".toml"):
         try:
             import tomllib
@@ -48,12 +49,10 @@ def _load_config_file(path: str) -> dict:
             except ImportError:
                 raise UnreadableFile(
                     "TOML config requires Python >= 3.11 or tomli")
-        loads, decode_error = tomllib.loads, tomllib.TOMLDecodeError
-    else:
-        loads, decode_error = json.loads, json.JSONDecodeError
-    try:
+        loads = tomllib.loads
+    try:  # decode and parse errors are ValueErrors; deep nesting recurses
         data = loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, decode_error) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise UnreadableFile(f"cannot read config: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"config must be an object of option values, "
@@ -72,9 +71,10 @@ def _load_plan(path: str):
 
 
 def _load_scene(path: str):
-    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+    try:  # decode and parse errors are ValueErrors; deep nesting recurses
         return scene_from_json(json.loads(Path(path).read_text()))
-    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, KeyError, RecursionError, ValueError,
+            TypeError) as exc:
         raise SchemaError(f"invalid scene description: {exc}") from exc
 
 

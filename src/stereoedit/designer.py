@@ -253,16 +253,18 @@ def _default_transport(config: DesignerConfig):
             raise EndpointUnreachable(f"endpoint returned {resp.status_code}")
         try:
             return resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (RecursionError, ValueError, KeyError, IndexError,
+                TypeError) as exc:  # not JSON, nested too deep or mis-shaped
             raise MalformedResponse(f"unexpected response shape: {exc}") from exc
 
     return post
 
 
-def _build_payload(config: DesignerConfig, user_text: str) -> dict:
+def _build_payload(config: DesignerConfig, system_text: str,
+                   user_text: str) -> dict:
     payload = {
         "messages": [
-            {"role": "system", "content": base_prompt()},
+            {"role": "system", "content": system_text},
             {"role": "user", "content": user_text},
         ],
     }
@@ -328,6 +330,7 @@ def design_plan_llm(scene_labels_batch, config: DesignerConfig,
     if transport is None:
         transport = _default_transport(config)
 
+    prompt = base_prompt()
     batch = [list(labels) for labels in scene_labels_batch]
     indices = range(len(batch))
     plans: list = [None] * len(batch)
@@ -339,8 +342,8 @@ def design_plan_llm(scene_labels_batch, config: DesignerConfig,
         text = (_single_request_text(batch[chunk[0]]) if len(chunk) == 1
                 else _batch_request_text([batch[i] for i in chunk]))
         try:
-            objs = _parse_content(transport(_build_payload(config, text)),
-                                  len(chunk))
+            objs = _parse_content(
+                transport(_build_payload(config, prompt, text)), len(chunk))
         except MalformedResponse as exc:
             errors.update(dict.fromkeys(chunk, exc))
             return

@@ -230,6 +230,6 @@ class HttpEditorAdapter(Editor):
             raise AdapterProtocolError(f"editor endpoint returned {resp.status_code}")
         try:
             wav_bytes = base64.b64decode(resp.json()["audio_b64"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except (RecursionError, ValueError, KeyError, TypeError) as exc:
             raise AdapterProtocolError(f"malformed editor response: {exc}") from exc
         return _check_adapter_output(audio_before, io.BytesIO(wav_bytes))

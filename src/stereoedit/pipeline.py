@@ -18,6 +18,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,10 +29,8 @@ from .designer import (DesignerConfig, DesignerMode, design_plan_llm,
                        design_plan_template)
 from .engine import execute_plan
 from .errors import (EmptyCatalog, FailureBudgetExceeded,
-                     OutputDirNotWritable, SchemaError, StereoEditError,
-                     ValidationFailed)
-from .plans import (EditPlan, canonicalize_plan, plan_to_json,
-                    serialize_step, validate_plan)
+                     OutputDirNotWritable, SchemaError, StereoEditError)
+from .plans import EditPlan, canonicalize_plan, plan_to_json, serialize_step
 from .spatial import Direction, EventSpec, Scene
 
 log = logging.getLogger(__name__)
@@ -72,14 +71,14 @@ class PipelineConfig:
     def from_dict(cls, data: dict) -> "PipelineConfig":
         data = dict(data)
         designer = data.pop("designer", None)
-        if isinstance(designer, dict):
-            designer = dict(designer)
-            if "mode" in designer:
-                designer["mode"] = DesignerMode(designer["mode"])
-            designer = DesignerConfig(**designer)
-        elif designer is None:
-            designer = DesignerConfig()
-        return cls(designer=designer, **data)
+        if designer is None:
+            designer = {}
+        elif not isinstance(designer, dict):
+            raise TypeError("designer must be an object of designer options, "
+                            f"not {type(designer).__name__}")
+        if "mode" in designer:
+            designer = {**designer, "mode": DesignerMode(designer["mode"])}
+        return cls(designer=DesignerConfig(**designer), **data)
 
 
 @dataclass(frozen=True)
@@ -170,13 +169,7 @@ def build_trajectory(catalog: Catalog, config: PipelineConfig, index: int):
     rng = random.Random(derive_record_seed(config.seed, index))
     scene = sample_scene(catalog, rng, config.k_min, config.k_max,
                          config.duration_seconds)
-    plan = _design(scene.labels, rng, config)
-    report = validate_plan(plan, scene.labels)
-    if not report.is_valid:
-        raise ValidationFailed(
-            "; ".join(f"{v.rule_id}: {v.message}" for v in report.violations))
-    plan = canonicalize_plan(plan)
-
+    plan = canonicalize_plan(_design(scene.labels, rng, config))
     trajectory, edited_ids = execute_plan(scene, plan, catalog=catalog, rng=rng)
     return scene, plan, trajectory, edited_ids
 
@@ -222,19 +215,19 @@ def synthesize_record(catalog: Catalog, config: PipelineConfig,
 
 
 def _worker(args):
+    """The record's manifest row, or the text of its data failure."""
     catalog, config, index = args
     try:
-        return index, synthesize_record(catalog, config, index), None
+        return synthesize_record(catalog, config, index)
     except StereoEditError as exc:  # data failures are budgeted, per record
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}"
 
 
 def run_pipeline(config: PipelineConfig, catalog: Catalog | None = None) -> PipelineStats:
     """Produce record_count successful records plus manifests.
 
-    Failed records are skipped and replaced by later indices; when failures
-    exceed the budget the run aborts with FailureBudgetExceeded.
-    """
+    Failed records are replaced by later indices in the same worker pool;
+    failures beyond the budget abort the run with FailureBudgetExceeded."""
     t0 = time.monotonic()
     out = Path(config.output_dir)
     try:
@@ -249,44 +242,39 @@ def run_pipeline(config: PipelineConfig, catalog: Catalog | None = None) -> Pipe
         catalog = build_catalog(out / "catalog")
 
     budget = config.effective_failure_budget
-    rows: dict[int, dict] = {}
+    rows: list[dict] = []
     failures: list[tuple[int, str]] = []
-    cursor = 0
-
-    def handle(result):
-        index, row, error = result
-        if error is None:
-            rows[index] = row
-        else:
-            log.warning("record %d failed: %s", index, error)
-            failures.append((index, error))
-            if len(failures) > budget:
-                raise FailureBudgetExceeded(
-                    f"{len(failures)} failures exceed budget {budget}; "
-                    f"last: record {index}: {error}")
-
-    while len(rows) < config.record_count:
-        need = config.record_count - len(rows)
-        indices = list(range(cursor, cursor + need))
-        cursor += need
-        tasks = [(catalog, config, i) for i in indices]
+    with ExitStack() as stack:
+        run = map
         if config.worker_count > 1:
-            with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-                for result in pool.map(_worker, tasks):
-                    handle(result)
-        else:
-            for task in tasks:
-                handle(_worker(task))
+            run = stack.enter_context(
+                ProcessPoolExecutor(max_workers=config.worker_count)).map
+        while len(rows) < config.record_count:
+            # Every index so far is a row or a failure, so each round starts
+            # past the last one; both maps yield in submission order, so the
+            # rows stay in index order.
+            indices = range(len(rows) + len(failures),
+                            config.record_count + len(failures))
+            tasks = [(catalog, config, i) for i in indices]
+            for index, result in zip(indices, run(_worker, tasks)):
+                if isinstance(result, dict):
+                    rows.append(result)
+                    continue
+                log.warning("record %d failed: %s", index, result)
+                failures.append((index, result))
+                if len(failures) > budget:
+                    raise FailureBudgetExceeded(
+                        f"{len(failures)} failures exceed budget {budget}; "
+                        f"last: record {index}: {result}")
 
-    ordered = [rows[i] for i in sorted(rows)]
-    _write_jsonl(out / MANIFEST_NAME, ordered)
+    _write_jsonl(out / MANIFEST_NAME, rows)
 
     if config.single_step_expansion:
-        expand_single_step(ordered, out / SINGLE_STEP_MANIFEST_NAME)
+        expand_single_step(rows, out / SINGLE_STEP_MANIFEST_NAME)
 
     return PipelineStats(
         requested=config.record_count,
-        succeeded=len(ordered),
+        succeeded=len(rows),
         failed=len(failures),
         wall_time_s=time.monotonic() - t0,
         failures=tuple(failures),

@@ -292,13 +292,13 @@ def plan_to_json(plan: EditPlan) -> dict:
 
 def parse_plan_json(data) -> EditPlan:
     """Parse the base-prompt JSON shape (or a bare list of step objects)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        if isinstance(data, str):
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise JsonSyntaxError(str(exc)) from exc
+    except (RecursionError, ValueError) as exc:  # not UTF-8, not JSON, too deep
+        raise JsonSyntaxError(str(exc)) from exc
 
     if isinstance(data, list):
         steps = tuple(_step_from_json(s, i) for i, s in enumerate(data))

@@ -89,3 +89,20 @@ def test_retrieve_clip_deterministic(catalog):
     assert a.origin_path == b.origin_path
     np.testing.assert_array_equal(a.samples, b.samples)
     assert a.label == "dog bark"
+
+
+def test_sidecar_undecodable_or_too_deep_lines_skipped(tmp_path, caplog):
+    d = tmp_path / "misc"
+    d.mkdir()
+    _write_clip(d / "c0.wav")
+    _write_clip(d / "c1.wav", seed=1)
+    (tmp_path / "index.jsonl").write_bytes(
+        b"\xff\xfe not UTF-8\n" + b"[" * 100_000 + b"\n"
+        + json.dumps({"path": "misc/c0.wav", "label": 5}).encode() + b"\n"
+        + json.dumps({"path": "misc/c1.wav", "label": "Train Horn"}).encode())
+    with caplog.at_level("WARNING"):
+        cat = build_catalog(tmp_path)
+    assert cat.entries == {"misc": (str(d / "c0.wav"),),
+                           "train horn": (str(d / "c1.wav"),)}
+    messages = "\n".join(r.message for r in caplog.records)
+    assert all(f"line {n} skipped" in messages for n in (1, 2, 3))

@@ -379,3 +379,38 @@ def test_malformed_manifest_is_schema_error(tmp_path, capsys, command,
     extra = [str(tmp_path)] if command == "eval" else []
     assert main([command, str(manifest), *extra]) == 2
     assert "malformed manifest" in capsys.readouterr().err
+
+
+@pytest.fixture
+def deep_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    return path
+
+
+def test_deeply_nested_scene_is_schema_error(deep_json, tmp_path, capsys):
+    assert main(["render", str(deep_json), str(tmp_path / "o.wav")]) == 2
+    assert "invalid scene description" in capsys.readouterr().err
+
+
+def test_deeply_nested_plan_is_rejected(deep_json):
+    assert main(["parse", str(deep_json)]) == 2
+
+
+def test_deeply_nested_config_is_io_error(deep_json, tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("Remove the sound of rain\n")
+    assert main(["--config", str(deep_json), "parse", str(plan)]) == 3
+    assert main(["synth", str(deep_json)]) == 3
+    assert capsys.readouterr().err.count("cannot read config") == 2
+
+
+@pytest.mark.parametrize("designer", ["llm", ["template"], 5])
+def test_synth_designer_that_is_not_an_object_is_schema_error(
+        catalog_root, tmp_path, capsys, designer):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "record_count": 1, "output_dir": str(tmp_path / "out"),
+        "catalog_root": str(catalog_root), "designer": designer}))
+    assert main(["synth", str(cfg)]) == 2
+    assert "invalid pipeline config" in capsys.readouterr().err

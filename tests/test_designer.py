@@ -272,3 +272,50 @@ def test_llm_transport_bug_propagates():
 
     with pytest.raises(RuntimeError, match="bug in the transport"):
         design_plan_llm([LABELS], _config(), transport=transport)
+
+
+def test_llm_reads_the_base_prompt_once_per_call(monkeypatch):
+    import stereoedit.designer as designer
+
+    reads = []
+
+    def counting_base_prompt():
+        reads.append(1)
+        return base_prompt()
+
+    monkeypatch.setattr(designer, "base_prompt", counting_base_prompt)
+    payloads = []
+
+    def transport(payload):
+        payloads.append(payload)
+        if len(payloads) == 1:  # the second scene needs one retry
+            return json.dumps([VALID_PLAN, INVALID_PLAN])
+        return json.dumps(VALID_PLAN)
+
+    result = design_plan_llm([LABELS, LABELS], _config(), transport=transport)
+    assert not result.failures and result.retry_counts == {0: 0, 1: 1}
+    assert len(payloads) == 2
+    assert all(p["messages"][0]["content"] == base_prompt() for p in payloads)
+    assert len(reads) == 1
+
+
+def test_llm_transport_deeply_nested_body_is_malformed(monkeypatch):
+    import requests
+
+    from stereoedit.designer import _default_transport
+
+    class Response:
+        status_code = 200
+
+        def json(self):
+            return json.loads("[" * 100_000)
+
+    class Session:
+        def post(self, url, json, headers, timeout):
+            return Response()
+
+    monkeypatch.setenv("STEREOEDIT_API_KEY", "test-key")
+    monkeypatch.setattr(requests, "Session", Session)
+    post = _default_transport(_config())
+    with pytest.raises(MalformedResponse, match="unexpected response shape"):
+        post({"messages": []})

@@ -1,4 +1,5 @@
 import base64
+import json
 import random
 import sys
 import textwrap
@@ -329,4 +330,19 @@ def test_http_adapter_transport_errors(raised, expected):
     adapter = HttpEditorAdapter("http://editor.invalid/edit",
                                 session=_FakeSession(_raises(raised)))
     with pytest.raises(expected):
+        adapter.edit(render_scene(_scene()), Remove(label="rain"))
+
+
+class _DeeplyNestedResponse:
+    status_code = 200
+
+    def json(self):
+        return json.loads("[" * 100_000)
+
+
+def test_http_adapter_deeply_nested_body_is_protocol_error():
+    adapter = HttpEditorAdapter(
+        "http://editor.invalid/edit",
+        session=_FakeSession(lambda payload: _DeeplyNestedResponse()))
+    with pytest.raises(AdapterProtocolError, match="malformed editor response"):
         adapter.edit(render_scene(_scene()), Remove(label="rain"))

@@ -1,9 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereoedit.audio import SAMPLE_RATE, read_wav
+from stereoedit.designer import DesignerConfig, DesignerMode
 from stereoedit.errors import (FailureBudgetExceeded, OutputDirNotWritable,
                                ValidationFailed)
 from stereoedit.pipeline import (MANIFEST_NAME, SINGLE_STEP_MANIFEST_NAME,
@@ -218,3 +223,120 @@ def test_manifest_write_is_atomic(catalog, tmp_path, monkeypatch):
 
     assert (manifest.read_bytes(), singles.read_bytes()) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+def _every_third_fails(monkeypatch):
+    import stereoedit.pipeline as pl
+
+    original = pl.build_trajectory
+
+    def flaky(cat, cfg, index):
+        if index % 3 == 2:
+            raise ValidationFailed(f"synthetic failure at {index}")
+        return original(cat, cfg, index)
+
+    monkeypatch.setattr(pl, "build_trajectory", flaky)
+
+
+def test_run_pipeline_top_up_is_the_same_at_any_worker_count(
+        catalog, tmp_path, monkeypatch):
+    _every_third_fails(monkeypatch)
+    manifests = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        stats = run_pipeline(PipelineConfig(
+            record_count=5, output_dir=str(out), seed=5, failure_budget=10,
+            worker_count=workers), catalog=catalog)
+        assert [index for index, _ in stats.failures] == [2, 5]
+        manifests.append(canonical_manifest_bytes(out / MANIFEST_NAME))
+    assert manifests[0] == manifests[1]
+
+
+def _fake_records(monkeypatch, failing):
+    """Replace synthesize_record: a one-key row, or a data failure for each
+    index in ``failing``. Forked workers inherit the replacement."""
+    import stereoedit.pipeline as pl
+
+    def fake(cat, cfg, index):
+        if index in failing:
+            raise ValidationFailed(f"synthetic failure at {index}")
+        return {"index": index}
+
+    monkeypatch.setattr(pl, "synthesize_record", fake)
+
+
+@pytest.mark.parametrize("workers,pools", [(1, 0), (2, 1)])
+def test_run_pipeline_opens_at_most_one_pool(tmp_path, monkeypatch,
+                                             workers, pools):
+    import stereoedit.pipeline as pl
+
+    opened = []
+
+    class CountingPool(pl.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "ProcessPoolExecutor", CountingPool)
+    _fake_records(monkeypatch, {1, 3, 4})  # three top-up rounds
+    stats = run_pipeline(PipelineConfig(
+        record_count=3, output_dir=str(tmp_path), failure_budget=3,
+        worker_count=workers), catalog=object())
+    assert [row["index"] for row in read_manifest(tmp_path / MANIFEST_NAME)] \
+        == [0, 2, 5]
+    assert stats.failed == 3
+    assert len(opened) == pools
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@settings(max_examples=25, deadline=None, database=None)
+@given(record_count=st.integers(1, 6),
+       failing=st.frozensets(st.integers(0, 12), max_size=8))
+def test_run_pipeline_rows_are_the_first_good_indices(workers, record_count,
+                                                      failing):
+    good = [i for i in range(record_count + len(failing)) if i not in failing]
+    expected = good[:record_count]
+    expected_failures = sorted(i for i in failing if i < expected[-1])
+    with pytest.MonkeyPatch.context() as monkeypatch, \
+            tempfile.TemporaryDirectory() as out:
+        _fake_records(monkeypatch, failing)
+        stats = run_pipeline(PipelineConfig(
+            record_count=record_count, output_dir=out,
+            failure_budget=len(expected_failures), worker_count=workers),
+            catalog=object())
+        rows = read_manifest(Path(out) / MANIFEST_NAME)
+    assert [row["index"] for row in rows] == expected
+    assert [index for index, _ in stats.failures] == expected_failures
+
+
+def test_run_pipeline_llm_designer(catalog, tmp_path, monkeypatch):
+    import stereoedit.designer as designer
+
+    asked = []
+
+    def transport(payload):
+        labels = json.loads(payload["messages"][1]["content"].splitlines()[1])
+        asked.append(labels)
+        # the first scene always gets a plan that removes every source
+        targets = labels if labels == asked[0] else labels[:1]
+        return json.dumps({
+            "sound sources": labels,
+            "complex editing instruction": "Make this sound like a fake",
+            "atomic editing steps": [
+                {"operation": "remove", "target": t, "effect": "None"}
+                for t in targets]})
+
+    monkeypatch.setattr(designer, "_default_transport",
+                        lambda config: transport)
+    stats = run_pipeline(PipelineConfig(
+        record_count=2, output_dir=str(tmp_path), seed=1, failure_budget=1,
+        designer=DesignerConfig(mode=DesignerMode.LLM,
+                                endpoint_url="http://localhost/fake",
+                                max_retries=2)), catalog=catalog)
+    assert [index for index, _ in stats.failures] == [0]
+    assert stats.failures[0][1].startswith("ValidationFailed")
+    assert asked.count(asked[0]) == 3  # first request and two retries
+    rows = read_manifest(tmp_path / MANIFEST_NAME)
+    assert [row["index"] for row in rows] == [1, 2]
+    assert {row["instruction"] for row in rows} == {"Make this sound like a fake"}
+    assert all(len(row["audio_paths"]) == 2 for row in rows)

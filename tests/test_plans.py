@@ -317,3 +317,10 @@ def test_canonicalize_groups_and_stability():
     # stability: relative order within each group preserved
     assert ordered[4].label == "wind" and ordered[5].label == "waves"
     assert sorted(map(str, plan.steps)) == sorted(map(str, ordered))
+
+
+@pytest.mark.parametrize("data", [b"\xff", b"[" * 100_000, "[" * 100_000],
+                         ids=["not-utf8", "deep-bytes", "deep-text"])
+def test_parse_plan_json_undecodable_or_too_deep(data):
+    with pytest.raises(JsonSyntaxError):
+        parse_plan_json(data)
