@@ -18,7 +18,7 @@ from scipy.signal import firwin, resample_poly
 from .errors import SilentClip, UnreadableFile, UnsupportedFormat
 
 SAMPLE_RATE = 24000
-CANONICAL_SECONDS = 10.0
+CANONICAL_SECONDS = 10.0  # scene duration unless a scene or config sets one
 CLIP_REFERENCE_DBFS = -20.0
 
 # Polyphase resampler: windowed-sinc, 64 taps per phase, Kaiser beta 8.6.
@@ -37,7 +37,6 @@ class SourceClip:
 
     label: str
     samples: np.ndarray
-    sample_rate_hz: int = SAMPLE_RATE
     origin_path: str = ""
 
     def __post_init__(self):
@@ -47,10 +46,6 @@ class SourceClip:
         if not np.all(np.isfinite(samples)):
             raise ValueError("SourceClip samples must be finite")
         object.__setattr__(self, "samples", samples)
-
-    @property
-    def duration_seconds(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
 
     def rms(self) -> float:
         return float(np.sqrt(np.mean(np.square(self.samples))))
@@ -82,10 +77,6 @@ class AudioBuffer:
     @property
     def num_samples(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def duration_seconds(self) -> float:
-        return self.num_samples / self.sample_rate_hz
 
     def peak(self) -> float:
         if not self.num_samples:
@@ -174,7 +165,7 @@ def fit_duration(clip: SourceClip, target_seconds: float = CANONICAL_SECONDS) ->
     """Trim (front-aligned) or zero-pad (trailing) to exactly the target length."""
     if target_seconds <= 0:
         raise ValueError("target_seconds must be positive")
-    n = round(target_seconds * clip.sample_rate_hz)
+    n = round(target_seconds * SAMPLE_RATE)
     samples = clip.samples
     if len(samples) >= n:
         samples = samples[:n]
@@ -183,17 +174,16 @@ def fit_duration(clip: SourceClip, target_seconds: float = CANONICAL_SECONDS) ->
     return replace(clip, samples=samples)
 
 
-def normalize_rms(clip: SourceClip, target_dbfs: float = -20.0) -> SourceClip:
-    """Scale the clip so its RMS equals 10^(target_dbfs/20)."""
+def normalize_rms(clip: SourceClip) -> SourceClip:
+    """Scale the clip so its RMS level is CLIP_REFERENCE_DBFS."""
     rms = clip.rms()
     if rms == 0.0:
         raise SilentClip(f"all-zero clip: {clip.label!r}")
-    factor = 10.0 ** (target_dbfs / 20.0) / rms
+    factor = 10.0 ** (CLIP_REFERENCE_DBFS / 20.0) / rms
     return replace(clip, samples=clip.samples * factor)
 
 
 def prepare_clip(clip: SourceClip, duration_seconds: float) -> SourceClip:
     """The treatment every scene event's clip gets: fit to the scene
     duration, then RMS-normalize to CLIP_REFERENCE_DBFS."""
-    return normalize_rms(fit_duration(clip, duration_seconds),
-                         CLIP_REFERENCE_DBFS)
+    return normalize_rms(fit_duration(clip, duration_seconds))

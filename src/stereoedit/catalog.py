@@ -27,7 +27,6 @@ class Catalog:
     """Map from normalized label to the clip files carrying that label."""
 
     entries: dict[str, tuple[str, ...]]
-    root: str
 
     @property
     def labels(self) -> list[str]:
@@ -81,8 +80,7 @@ def build_catalog(root) -> Catalog:
 
     if not entries:
         raise EmptyCatalog(f"no ingestible audio under {root}")
-    return Catalog(entries={k: tuple(v) for k, v in entries.items()},
-                   root=str(root))
+    return Catalog(entries={k: tuple(v) for k, v in entries.items()})
 
 
 def _tokens(label: str) -> frozenset[str]:

@@ -16,6 +16,7 @@ import logging
 import random
 import shlex
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -76,6 +77,12 @@ def _load_scene(path: str):
     except (AttributeError, KeyError, RecursionError, ValueError,
             TypeError) as exc:
         raise SchemaError(f"invalid scene description: {exc}") from exc
+
+
+def _output_csv(path, rows) -> None:
+    """Write the rows to the CSV file at path, or to stdout without one."""
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as f:
+        csv.writer(f).writerows(rows)
 
 
 def _resolve_seed(args) -> int:
@@ -193,11 +200,7 @@ def cmd_eval(args) -> int:
                              f"{lsd(ref, cand):.9g}",
                              f"{gcc_mse(ref, cand):.9g}"])
 
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            csv.writer(fh).writerows(out_rows)
-    else:
-        csv.writer(sys.stdout).writerows(out_rows)
+    _output_csv(args.csv, out_rows)
     return EXIT_OK
 
 
@@ -221,10 +224,13 @@ def _make_editor(spec: str, args):
 def cmd_roundtrip(args) -> int:
     editor = _make_editor(args.editor_spec, args)
     audio = read_stereo(args.audio)
-    result = roundtrip_drift(editor, audio, args.label, rounds=args.rounds,
-                             csv_path=args.csv, editor_id=args.editor_spec)
-    for i, value in enumerate(result.lsd_per_round, 1):
-        print(f"round {i}: lsd {value:.9g}")
+    result = roundtrip_drift(editor, audio, args.label, rounds=args.rounds)
+    rows = [[i, f"{value:.9g}"]
+            for i, value in enumerate(result.lsd_per_round, 1)]
+    for i, value in rows:
+        print(f"round {i}: lsd {value}")
+    if args.csv:
+        _output_csv(args.csv, [["round", "lsd"], *rows])
     return EXIT_OK
 
 
@@ -312,20 +318,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args) -> None:
+def _apply_config(parser, argv, args):
+    """argv parsed again with the --config file's values as the defaults of
+    the options they name, so that an explicit flag still wins."""
     if not args.config:
-        return
-    data = _load_config_file(args.config)
-    for key, value in data.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+        return args
+    config = _load_config_file(args.config)
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    # a parser's own options only: a subcommand default beats a global flag.
+    # Values go in as text, so each gets its flag's type check.
+    for p in (parser, commands[args.command]):
+        p.set_defaults(**{a.dest: None if config[a.dest] is None
+                          else str(config[a.dest])
+                          for a in p._actions if a.dest in config})
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        # the config file may set log_level, so merge it before reading that
-        _merge_config(args)
+        # the config file may set log_level, so apply it before reading that
+        args = _apply_config(parser, argv, args)
         level = (args.log_level or "warning").upper()
         logging.basicConfig(level=getattr(logging, level, logging.WARNING))
         return args.func(args)

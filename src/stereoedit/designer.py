@@ -226,10 +226,6 @@ class DesignerBatchResult:
     failures: dict  # index -> exception
     retry_counts: dict  # index -> number of individual re-requests
 
-    @property
-    def dropped_indices(self) -> list[int]:
-        return sorted(self.failures)
-
 
 def _default_transport(config: DesignerConfig):
     import requests

@@ -39,14 +39,9 @@ class EmptySceneResult(StereoEditError):
 # --- plan language ---
 
 class ParseError(StereoEditError):
-    """Template-text parse failure; carries position and expectation hint."""
+    """Template-text parse failure; the message quotes the expected shape."""
 
     exit_code = 2
-
-    def __init__(self, message, position=None, expected=None):
-        super().__init__(message)
-        self.position = position
-        self.expected = expected
 
 
 class JsonSyntaxError(StereoEditError):

@@ -8,7 +8,6 @@ floor, so degenerate inputs never produce NaN.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,25 +149,15 @@ def gcc_mse(a: AudioBuffer, b: AudioBuffer) -> float:
 class RoundTripResult:
     rounds: int
     lsd_per_round: tuple[float, ...]
-    editor_id: str
-    label_used: str
 
     def __post_init__(self):
         object.__setattr__(self, "lsd_per_round", tuple(self.lsd_per_round))
         if len(self.lsd_per_round) != self.rounds:
             raise ValueError("one LSD value per round is required")
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "lsd"])
-            for i, value in enumerate(self.lsd_per_round, 1):
-                writer.writerow([i, f"{value:.9g}"])
-
 
 def roundtrip_drift(editor: Editor, audio: AudioBuffer, pseudo_label: str,
-                    rounds: int = 5, csv_path=None,
-                    editor_id: str = "editor") -> RoundTripResult:
+                    rounds: int = 5) -> RoundTripResult:
     """Add-then-remove the same pseudo label repeatedly and track LSD drift
     against the original audio after each round."""
     add = Add(label=pseudo_label)
@@ -184,8 +173,4 @@ def roundtrip_drift(editor: Editor, audio: AudioBuffer, pseudo_label: str,
             exc.args = (f"round {round_no}: {exc}",)
             raise
         drifts.append(lsd(audio, current))
-    result = RoundTripResult(rounds=rounds, lsd_per_round=tuple(drifts),
-                             editor_id=editor_id, label_used=pseudo_label)
-    if csv_path is not None:
-        result.write_csv(csv_path)
-    return result
+    return RoundTripResult(rounds=rounds, lsd_per_round=tuple(drifts))

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .audio import AudioBuffer, load_clip, prepare_clip, write_wav
+from .audio import (CANONICAL_SECONDS, AudioBuffer, load_clip, prepare_clip,
+                    write_wav)
 from .catalog import Catalog, build_catalog
 from .designer import (DesignerConfig, DesignerMode, design_plan_llm,
                        design_plan_template)
@@ -48,13 +49,23 @@ class PipelineConfig:
     seed: int = 0
     k_min: int = 2
     k_max: int = 5
-    duration_seconds: float = 10.0
+    duration_seconds: float = CANONICAL_SECONDS
     designer: DesignerConfig = field(default_factory=DesignerConfig)
     worker_count: int = 1
     single_step_expansion: bool = False
     failure_budget: int | None = None  # None -> 1% of record_count (min 1)
 
     def __post_init__(self):
+        budget = () if self.failure_budget is None else ("failure_budget",)
+        for name in ("record_count", "worker_count", "seed", "k_min", "k_max",
+                     *budget):
+            if type(getattr(self, name)) is not int:  # exact, so not a bool
+                raise TypeError(f"{name} must be an integer")
+        seconds = self.duration_seconds
+        if type(seconds) not in (int, float) or not 0 < seconds < math.inf:
+            raise ValueError("duration_seconds must be positive and finite")
+        if not isinstance(self.single_step_expansion, bool):
+            raise TypeError("single_step_expansion must be true or false")
         if self.k_min < 2 or self.k_max > 5:
             log.warning("event count range [%d, %d] outside the default [2, 5]",
                         self.k_min, self.k_max)
@@ -101,7 +112,7 @@ def derive_record_seed(global_seed: int, index: int) -> int:
 
 def sample_scene(catalog: Catalog, rng: random.Random,
                  k_min: int = 2, k_max: int = 5,
-                 duration_seconds: float = 10.0) -> Scene:
+                 duration_seconds: float = CANONICAL_SECONDS) -> Scene:
     """Draw K distinct labels and one clip each; directions uniform over
     {left, front, right}, base gains uniform in [-6, 0] dB."""
     labels = sorted(catalog.entries)
@@ -138,7 +149,7 @@ def scene_to_json(scene: Scene) -> dict:
 def scene_from_json(data: dict) -> Scene:
     """Rebuild a scene from its JSON description, re-ingesting clips with
     the standard fit + RMS-normalize treatment."""
-    duration = float(data.get("duration_seconds", 10.0))
+    duration = float(data.get("duration_seconds", CANONICAL_SECONDS))
     events = []
     for i, ev in enumerate(data["events"]):
         events.append(EventSpec(
@@ -281,9 +292,9 @@ def run_pipeline(config: PipelineConfig, catalog: Catalog | None = None) -> Pipe
     )
 
 
-def expand_single_step(records, out_path) -> int:
+def expand_single_step(records, out_path) -> None:
     """Write one (step text, a_{i-1} path, a_i path) tuple per step."""
-    return _write_jsonl(out_path, (
+    _write_jsonl(out_path, (
         {"record_id": row["record_id"],
          "step_index": i,
          "step": meta["step"],
@@ -293,26 +304,23 @@ def expand_single_step(records, out_path) -> int:
         for i, meta in enumerate(row["per_step_meta"])))
 
 
-def _write_jsonl(path: Path, rows) -> int:
-    """Write one sorted-key JSON line per row and return the row count.
+def _write_jsonl(path: Path, rows) -> None:
+    """Write one sorted-key JSON line per row.
 
     The lines go to a temp file beside ``path`` that replaces it only once
     complete, so a failed or interrupted write leaves any earlier file whole.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
-    count = 0
     try:
         with open(tmp, "w") as fh:
             for row in rows:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
-                count += 1
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    return count
 
 
 def read_manifest(path) -> list[dict]:

@@ -211,12 +211,11 @@ def parse_step(text: str) -> AtomicStep:
         if lowered.startswith(cls.operation + " "):
             m = cls.template.fullmatch(line)
             if not m:
-                raise ParseError(f"malformed {cls.operation} step: {line!r}",
-                                 position=0, expected=cls.hint)
+                raise ParseError(f"malformed {cls.operation} step: {line!r}; "
+                                 f"expected {cls.hint!r}")
             return cls(**_fields(m))
-    raise ParseError(
-        f"unrecognized step: {line!r}", position=0,
-        expected="one of: Add / Remove / Extract / Turn up / Turn down / Change")
+    raise ParseError(f"unrecognized step: {line!r}; expected one of: Add / "
+                     "Remove / Extract / Turn up / Turn down / Change")
 
 
 def serialize_step(step: AtomicStep) -> str:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, AudioBuffer, SourceClip
+from .audio import CANONICAL_SECONDS, SAMPLE_RATE, AudioBuffer, SourceClip
 
 HEAD_RADIUS_M = 0.0875
 SPEED_OF_SOUND_M_S = 343.0
@@ -31,7 +31,7 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 20.0)
 
 
-def itd_samples(azimuth_deg: float, sample_rate_hz: int = SAMPLE_RATE) -> float:
+def itd_samples(azimuth_deg: float) -> float:
     """Woodworth interaural delay in samples.
 
     tau = (r/c) * (theta + sin(theta)). Positive for sources on the right,
@@ -41,7 +41,7 @@ def itd_samples(azimuth_deg: float, sample_rate_hz: int = SAMPLE_RATE) -> float:
         raise ValueError("azimuth must be in [-90, 90] degrees")
     theta = np.deg2rad(azimuth_deg)
     tau = (HEAD_RADIUS_M / SPEED_OF_SOUND_M_S) * (theta + np.sin(theta))
-    return float(tau * sample_rate_hz)
+    return float(tau * SAMPLE_RATE)
 
 
 def pan_gains(azimuth_deg: float) -> tuple[float, float]:
@@ -72,7 +72,7 @@ class EventSpec:
 @dataclass(frozen=True)
 class Scene:
     events: tuple[EventSpec, ...]
-    duration_seconds: float = 10.0
+    duration_seconds: float = CANONICAL_SECONDS
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
@@ -121,13 +121,9 @@ def spatialize(clip: SourceClip, direction: Direction, gain_db: float = 0.0) -> 
     return AudioBuffer(out)
 
 
-def render_event(event: EventSpec) -> AudioBuffer:
-    return spatialize(event.clip, event.direction, event.gain_db)
-
-
 def render_scene(scene: Scene) -> AudioBuffer:
     """Sample-wise superposition of all spatialized events. Never clips."""
     total = np.zeros((2, scene.num_samples))
     for event in scene.events:
-        total += render_event(event).samples
+        total += spatialize(event.clip, event.direction, event.gain_db).samples
     return AudioBuffer(total)

@@ -11,7 +11,9 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import atomic_steps
 from stereoedit.audio import SAMPLE_RATE, SourceClip, read_wav
 from stereoedit.designer import DesignerConfig, DesignerMode, design_plan_llm
 from stereoedit.engine import OracleEditor, apply_step
@@ -23,8 +25,8 @@ from stereoedit.pipeline import (MANIFEST_NAME, PipelineConfig,
 from stereoedit.plans import (Add, Change, EditPlan, Extract, Remove,
                               TurnDown, TurnUp, canonicalize_plan, parse_step,
                               parse_plan_json, serialize_step, validate_plan)
-from stereoedit.spatial import (Direction, EventSpec, itd_samples,
-                                render_event, render_scene)
+from stereoedit.spatial import (Direction, itd_samples, render_scene,
+                                spatialize)
 
 
 @pytest.fixture
@@ -131,13 +133,9 @@ def test_criterion_3_spatial_cues(report):
     for case in range(100):
         samples = rng.uniform(-0.5, 0.5, 8192)
         clip = SourceClip(label="noise", samples=samples)
-
-        def clip_event(d):
-            return EventSpec("e0", "noise", clip, d, 0.0)
-
         for direction, want in ((Direction.LEFT, -16), (Direction.RIGHT, 16),
                                 (Direction.FRONT, 0)):
-            buf = render_event(clip_event(direction))
+            buf = spatialize(clip, direction)
             got = gcc_phat_tdoa(buf.left[2048:2048 + 2048],
                                 buf.right[2048:2048 + 2048])
             tolerance = 0 if direction is Direction.FRONT else 1
@@ -229,39 +227,27 @@ JSON_FIXTURES = [
 ]
 
 
-def _fuzz_step(rng: random.Random):
-    labels = ["rain", "dog bark", "rooster crowing", "water waves",
-              "footsteps on gravel", "bell ring"]
-    dirs = [None, Direction.LEFT, Direction.FRONT, Direction.RIGHT]
-    kind = rng.randrange(6)
-    label = rng.choice(labels)
-    if kind == 0:
-        return Add(label=label, direction=rng.choice(dirs),
-                   gain_db=rng.choice([None, 0.0, 1.5, 3.0, 6.0]))
-    if kind == 1:
-        return Remove(label=label, direction=rng.choice(dirs))
-    if kind == 2:
-        return Extract(label=label, direction=rng.choice(dirs))
-    if kind == 3:
-        return TurnUp(label=label, delta_db=float(rng.randint(1, 6)))
-    if kind == 4:
-        return TurnDown(label=label, delta_db=rng.choice([0.5, 2.0, 6.0]))
-    return Change(label=label, to=rng.choice(dirs[1:]), from_=rng.choice(dirs))
+@settings(max_examples=1000, deadline=None, database=None)
+@given(step=atomic_steps)
+def _step_roundtrip(step):
+    assert parse_step(serialize_step(step)) == step
 
 
 def test_criterion_5_plan_roundtrip(report):
-    rng = random.Random(55)
-    mismatches = sum(parse_step(serialize_step(s)) != s
-                     for s in (_fuzz_step(rng) for _ in range(1000)))
+    try:
+        _step_roundtrip()
+        roundtrip_ok = True
+    except AssertionError:  # hypothesis re-raises the shrunk counterexample
+        roundtrip_ok = False
     template_ok = all(parse_step(text) == want
                       for text, want in TEMPLATE_SENTENCES)
     fixtures_ok = True
     for fixture in JSON_FIXTURES:
         plan = parse_plan_json(json.dumps(fixture))
         fixtures_ok &= len(plan.steps) == len(fixture["atomic editing steps"])
-    ok = mismatches == 0 and template_ok and fixtures_ok
+    ok = roundtrip_ok and template_ok and fixtures_ok
     report(5, ok,
-            f"1000 fuzzed steps round-trip ({mismatches} mismatches), "
+            f"1000 generated steps round-trip ok={roundtrip_ok}, "
             f"5 template sentences ok={template_ok}, "
             f"{len(JSON_FIXTURES)} JSON fixtures ok={fixtures_ok}")
 
@@ -399,9 +385,9 @@ def test_criterion_8_pipeline_determinism(catalog, tmp_path, report):
             gone, new = _changed_sets(before_scene, after_scene)
             expected = np.zeros_like(before_audio.samples)
             for e in new:
-                expected += render_event(e).samples
+                expected += spatialize(e.clip, e.direction, e.gain_db).samples
             for e in gone:
-                expected -= render_event(e).samples
+                expected -= spatialize(e.clip, e.direction, e.gain_db).samples
             delta = after_audio.samples - before_audio.samples
             residual_worst = max(residual_worst,
                                  float(np.max(np.abs(delta - expected))))

@@ -147,7 +147,7 @@ def test_fit_duration_canonical_length():
 
 def test_normalize_rms_exact():
     clip = SourceClip(label="x", samples=np.full(1000, 0.25))
-    out = normalize_rms(clip, -20.0)
+    out = normalize_rms(clip)
     assert out.rms() == pytest.approx(10 ** (-20 / 20), rel=1e-12)
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -63,10 +64,15 @@ def test_parse_json_plan_autodetect(tmp_path, capsys):
     assert out["is_valid"]
 
 
-def test_parse_malformed_plan(tmp_path):
+def test_parse_malformed_plan(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_text("Wiggle the sound of rain\n")
     assert main(["parse", str(plan)]) == 2
+    plan.write_text("Turn up the sound of rain\n")
+    assert main(["parse", str(plan)]) == 2
+    # the error quotes the shape the step should have had
+    assert "expected 'Turn up the sound of <label> by <n> dB'" in \
+        capsys.readouterr().err
 
 
 def test_edit_executes_plan(scene_file, catalog, tmp_path):
@@ -141,6 +147,57 @@ def test_roundtrip_oracle_cli(scene_file, catalog, catalog_root, tmp_path,
     out = capsys.readouterr().out
     assert "round 1" in out and "round 2" in out
     assert len(csv_path.read_text().splitlines()) == 3
+
+
+# Scales its input by 1.01, so every round drifts a little further.
+_LOSSY_EDITOR = """import sys
+from scipy.io import wavfile
+rate, data = wavfile.read(sys.argv[1])
+wavfile.write(sys.argv[2], rate, data * 1.01)
+"""
+
+
+def test_roundtrip_csv_bytes(scene_file, tmp_path, capsys):
+    wav = tmp_path / "in.wav"
+    assert main(["render", str(scene_file), str(wav)]) == 0
+    capsys.readouterr()
+    script = tmp_path / "lossy.py"
+    script.write_text(_LOSSY_EDITOR)
+    csv_path = tmp_path / "drift.csv"
+    assert main(["roundtrip",
+                 f"subprocess:{sys.executable} {script} {{input}} {{output}}",
+                 str(wav), "ghost", "--rounds", "3", "--csv", str(csv_path),
+                 "--work-dir", str(tmp_path / "work")]) == 0
+    values = [line.split()[-1]
+              for line in capsys.readouterr().out.splitlines()]
+    assert len(values) == 3 and values[0] != "0"
+    # csv.writer's format: a header, then one CRLF-ended row per round
+    assert csv_path.read_bytes() == ("round,lsd\r\n" + "".join(
+        f"{i},{v}\r\n" for i, v in enumerate(values, 1))).encode()
+
+
+def test_config_values_are_option_defaults(scene_file, catalog,
+                                           catalog_root, tmp_path, capsys):
+    wav = tmp_path / "in.wav"
+    assert main(["render", str(scene_file), str(wav)]) == 0
+    scene_labels = {e["label"]
+                    for e in json.loads(scene_file.read_text())["events"]}
+    spare = next(l for l in catalog.labels if l not in scene_labels)
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"rounds": 2, "catalog": str(catalog_root),
+                               "seed": 3}))
+    argv = ["--config", str(cfg), "roundtrip", f"oracle:{scene_file}",
+            str(wav), spare]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("round 2:")
+    assert main(argv + ["--rounds", "3"]) == 0  # an explicit flag wins
+    assert capsys.readouterr().out.splitlines()[-1].startswith("round 3:")
+    cfg.write_text(json.dumps({"rounds": 2.5}))
+    with pytest.raises(SystemExit) as exc_info:  # as --rounds 2.5 would
+        main(argv)
+    assert exc_info.value.code == 2
+    assert "invalid int value: '2.5'" in capsys.readouterr().err
 
 
 def test_roundtrip_unknown_editor(tmp_path, scene_file):
@@ -414,3 +471,21 @@ def test_synth_designer_that_is_not_an_object_is_schema_error(
         "catalog_root": str(catalog_root), "designer": designer}))
     assert main(["synth", str(cfg)]) == 2
     assert "invalid pipeline config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("record_count", "2"), ("record_count", True), ("worker_count", 1.0),
+    ("seed", "7"), ("k_min", 2.5), ("k_max", False), ("failure_budget", 0.5),
+    ("duration_seconds", "10"), ("duration_seconds", True),
+    ("duration_seconds", 0), ("duration_seconds", -1.5),
+    ("single_step_expansion", "yes"), ("single_step_expansion", 1),
+])
+def test_synth_config_field_of_wrong_type_is_schema_error(
+        tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"record_count": 1,
+                               "output_dir": str(tmp_path / "out"),
+                               field: value}))
+    assert main(["synth", str(cfg)]) == 2
+    assert "invalid pipeline config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

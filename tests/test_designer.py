@@ -143,7 +143,7 @@ def test_llm_persistently_invalid_fails_with_validation_error():
     assert result.plans[0] is None
     assert isinstance(result.failures[0], ValidationFailed)
     assert result.retry_counts[0] == 2
-    assert result.dropped_indices == [0]
+    assert list(result.failures) == [0]
 
 
 def test_llm_batch_mixed_outcomes():

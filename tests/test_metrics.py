@@ -256,18 +256,9 @@ def test_gcc_mse_all_silent_raises():
         gcc_mse(silent, silent)
 
 
-def test_roundtrip_result_csv(tmp_path):
-    result = RoundTripResult(rounds=2, lsd_per_round=(0.5, 1.0),
-                             editor_id="x", label_used="ghost")
-    path = tmp_path / "drift.csv"
-    result.write_csv(path)
-    assert path.read_text().splitlines() == ["round,lsd", "1,0.5", "2,1"]
-
-
 def test_roundtrip_result_length_check():
     with pytest.raises(ValueError):
-        RoundTripResult(rounds=3, lsd_per_round=(0.1,), editor_id="x",
-                        label_used="y")
+        RoundTripResult(rounds=3, lsd_per_round=(0.1,))
 
 
 def test_roundtrip_drift_oracle_is_exact(catalog):
@@ -292,13 +283,11 @@ class _LossyEditor:
         return AudioBuffer(audio.samples * 1.01 + 1e-4)
 
 
-def test_roundtrip_drift_detects_lossy_editor(tmp_path):
+def test_roundtrip_drift_detects_lossy_editor():
     audio = _noise_buffer()
-    result = roundtrip_drift(_LossyEditor(), audio, "ghost", rounds=3,
-                             csv_path=tmp_path / "d.csv")
+    result = roundtrip_drift(_LossyEditor(), audio, "ghost", rounds=3)
     assert result.lsd_per_round[0] > 0.01
     assert list(result.lsd_per_round) == sorted(result.lsd_per_round)
-    assert (tmp_path / "d.csv").exists()
 
 
 class _ExplodingEditor:
