@@ -7,6 +7,7 @@ converted on ingest and export only.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from math import gcd
@@ -29,6 +30,24 @@ _INT_SCALES = {
     np.dtype(np.int16): 2.0 ** 15,
     np.dtype(np.int32): 2.0 ** 31,
 }
+
+
+_scratch = threading.local()
+
+
+def scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """This thread's reusable array ``name`` of the given shape and dtype.
+
+    Its contents are whatever the last use left. Another shape or dtype
+    replaces the array, so a thread holds one array per name, sized for the
+    latest call: reuse saves the page faults of a fresh array per call.
+    """
+    arr = getattr(_scratch, name, None)
+    if arr is None or arr.shape != shape or arr.dtype != dtype:
+        setattr(_scratch, name, None)  # free the old array first
+        arr = np.empty(shape, dtype)
+        setattr(_scratch, name, arr)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -130,9 +149,10 @@ def read_stereo(path) -> AudioBuffer:
 def write_wav(path, buffer: AudioBuffer) -> None:
     """Export as stereo float32 WAV at the internal rate to a path or a
     binary file object."""
-    # C order, so scipy writes the frames without another interleaving copy
-    data = np.ascontiguousarray(buffer.samples.T, dtype=np.float32)
-    wavfile.write(path, buffer.sample_rate_hz, data)
+    # interleaved C-order frames, so scipy writes them without another copy
+    frames = scratch("wav_frames", buffer.samples.T.shape, np.float32)
+    np.copyto(frames, buffer.samples.T, casting="same_kind")
+    wavfile.write(path, buffer.sample_rate_hz, frames)
 
 
 def resample(samples: np.ndarray, from_rate: int, to_rate: int = SAMPLE_RATE) -> np.ndarray:

@@ -119,12 +119,12 @@ def cmd_edit(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     catalog = build_catalog(args.catalog) if args.catalog else None
     rng = random.Random(_resolve_seed(args))
-    trajectory, _ = execute_plan(scene, plan, catalog=catalog, rng=rng)
+    stages, _ = execute_plan(scene, plan, catalog=catalog, rng=rng)
 
     paths = []
-    for i, (_, audio) in enumerate(trajectory):
+    for i, stage in enumerate(stages):  # one stage's audio at a time
         path = out_dir / f"a{i:02d}.wav"
-        write_wav(path, audio)
+        write_wav(path, render_scene(stage))
         paths.append(str(path))
     manifest = {
         "plan": plan_to_json(plan),
@@ -161,6 +161,8 @@ def cmd_synth(args) -> int:
         data["worker_count"] = args.workers
     catalog_root = data.pop("catalog_root", None)
     try:
+        if not isinstance(catalog_root, (str, type(None))):
+            raise TypeError("catalog_root must be a path")
         config = PipelineConfig.from_dict(data)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid pipeline config: {exc}") from exc
@@ -320,19 +322,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser, argv, args):
     """argv parsed again with the --config file's values as the defaults of
-    the options they name, so that an explicit flag still wins."""
+    the options they name, so that an explicit flag still wins; and the
+    config keys that name no option of the command, in file order."""
     if not args.config:
-        return args
+        return args, []
     config = _load_config_file(args.config)
     commands = next(action.choices for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
+    named = set()
     # a parser's own options only: a subcommand default beats a global flag.
     # Values go in as text, so each gets its flag's type check.
     for p in (parser, commands[args.command]):
-        p.set_defaults(**{a.dest: None if config[a.dest] is None
-                          else str(config[a.dest])
-                          for a in p._actions if a.dest in config})
-    return parser.parse_args(argv)
+        options = {a.dest for a in p._actions if a.dest in config}
+        p.set_defaults(**{dest: None if config[dest] is None
+                          else str(config[dest]) for dest in options})
+        named |= options
+    return parser.parse_args(argv), [key for key in config if key not in named]
 
 
 def main(argv=None) -> int:
@@ -340,9 +345,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # the config file may set log_level, so apply it before reading that
-        args = _apply_config(parser, argv, args)
+        args, unknown = _apply_config(parser, argv, args)
         level = (args.log_level or "warning").upper()
         logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+        for key in unknown:
+            log.warning("config key %r names no option of %r; ignored",
+                        key, args.command)
         return args.func(args)
     except OSError as exc:  # any failed read or write
         error, code = exc, UnreadableFile.exit_code

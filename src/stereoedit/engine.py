@@ -67,10 +67,9 @@ _REWRITES = {
 }
 
 
-def apply_step(scene: Scene, step: AtomicStep,
-               catalog: Catalog | None = None,
-               rng: random.Random | None = None) -> EditOutcome:
-    """Apply one atomic step, returning the mutated scene and its render."""
+def _edit_scene(scene: Scene, step: AtomicStep, catalog: Catalog | None,
+                rng: random.Random | None) -> tuple[Scene, str]:
+    """The scene after one atomic step, and the id of the event it edited."""
     if isinstance(step, Add):
         if catalog is None:
             raise EmptyCatalog("Add steps require a catalog")
@@ -92,33 +91,38 @@ def apply_step(scene: Scene, step: AtomicStep,
         if not events:
             raise EmptySceneResult(
                 f"removing {step.label!r} would leave an empty scene")
-    after = Scene(events, scene.duration_seconds)
-    return EditOutcome(after, render_scene(after), (edited.event_id,))
+    return Scene(events, scene.duration_seconds), edited.event_id
+
+
+def apply_step(scene: Scene, step: AtomicStep,
+               catalog: Catalog | None = None,
+               rng: random.Random | None = None) -> EditOutcome:
+    """Apply one atomic step, returning the mutated scene and its render."""
+    after, edited_id = _edit_scene(scene, step, catalog, rng)
+    return EditOutcome(after, render_scene(after), (edited_id,))
 
 
 def execute_plan(scene: Scene, plan: EditPlan,
                  catalog: Catalog | None = None,
                  rng: random.Random | None = None):
-    """Run all steps sequentially.
+    """Run all steps sequentially, without rendering.
 
-    Returns the trajectory [(scene_0, audio_0), ..., (scene_n, audio_n)],
-    whose element 0 is the untouched initial scene, and the event ids each
-    step edited.
+    Returns the stage scenes [scene_0, ..., scene_n], whose element 0 is the
+    untouched initial scene, and the event ids each step edited. Render a
+    stage with render_scene when its audio is needed.
     """
-    trajectory = [(scene, render_scene(scene))]
+    stages = [scene]
     edited_ids = []
-    current = scene
     for i, step in enumerate(plan.steps):
         try:
-            outcome = apply_step(current, step, catalog=catalog, rng=rng)
+            after, edited_id = _edit_scene(stages[-1], step, catalog, rng)
         except Exception as exc:
             # label and re-raise the same object (add_note needs Python 3.11)
             exc.args = (f"step {i} ({serialize_step(step)}): {exc}",)
             raise
-        current = outcome.scene_after
-        trajectory.append((current, outcome.audio_after))
-        edited_ids.append(list(outcome.edited_event_ids))
-    return trajectory, edited_ids
+        stages.append(after)
+        edited_ids.append([edited_id])
+    return stages, edited_ids
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .audio import (CANONICAL_SECONDS, AudioBuffer, load_clip, prepare_clip,
-                    write_wav)
+from .audio import CANONICAL_SECONDS, load_clip, prepare_clip, scratch, write_wav
 from .catalog import Catalog, build_catalog
 from .designer import (DesignerConfig, DesignerMode, design_plan_llm,
                        design_plan_template)
@@ -32,7 +31,7 @@ from .engine import execute_plan
 from .errors import (EmptyCatalog, FailureBudgetExceeded,
                      OutputDirNotWritable, SchemaError, StereoEditError)
 from .plans import EditPlan, canonicalize_plan, plan_to_json, serialize_step
-from .spatial import Direction, EventSpec, Scene
+from .spatial import Direction, EventSpec, Scene, render_scene
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +60,8 @@ class PipelineConfig:
                      *budget):
             if type(getattr(self, name)) is not int:  # exact, so not a bool
                 raise TypeError(f"{name} must be an integer")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise TypeError("output_dir must be a path")
         seconds = self.duration_seconds
         if type(seconds) not in (int, float) or not 0 < seconds < math.inf:
             raise ValueError("duration_seconds must be positive and finite")
@@ -175,32 +176,39 @@ def _design(labels, rng: random.Random, config: PipelineConfig) -> EditPlan:
 
 
 def build_trajectory(catalog: Catalog, config: PipelineConfig, index: int):
-    """Deterministically produce (scene, plan, trajectory, edited-ids) for a
-    record index; pure in-memory form of synthesize_record."""
+    """Deterministically produce (scene, plan, stage scenes, edited-ids) for
+    a record index; the unrendered in-memory form of synthesize_record."""
     rng = random.Random(derive_record_seed(config.seed, index))
     scene = sample_scene(catalog, rng, config.k_min, config.k_max,
                          config.duration_seconds)
     plan = canonicalize_plan(_design(scene.labels, rng, config))
-    trajectory, edited_ids = execute_plan(scene, plan, catalog=catalog, rng=rng)
-    return scene, plan, trajectory, edited_ids
+    stages, edited_ids = execute_plan(scene, plan, catalog=catalog, rng=rng)
+    return scene, plan, stages, edited_ids
 
 
 def synthesize_record(catalog: Catalog, config: PipelineConfig,
                       index: int) -> dict:
-    """Render one record to disk and return its manifest row."""
-    scene, plan, trajectory, edited_ids = build_trajectory(catalog, config, index)
+    """Render one record to disk and return its manifest row.
+
+    Stages are rendered and written one at a time through this thread's
+    one render buffer, so a record holds one stage's audio, not all.
+    """
+    scene, plan, stages, edited_ids = build_trajectory(catalog, config, index)
     record_id = f"rec{index:06d}"
     audio_dir = Path(config.output_dir) / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)
 
+    buffer = scratch("render", (2, scene.num_samples))
     audio_paths = []
     peak_factors = []
-    for i, (_, audio) in enumerate(trajectory):
+    for i, stage in enumerate(stages):
         rel = f"audio/{record_id}_a{i:02d}.wav"
+        audio = render_scene(stage, out=buffer)
         peak = audio.peak()
         factor = 1.0 / peak if peak > 1.0 else 1.0
-        exported = AudioBuffer(audio.samples * factor) if factor != 1.0 else audio
-        write_wav(Path(config.output_dir) / rel, exported)
+        if factor != 1.0:
+            buffer *= factor
+        write_wav(Path(config.output_dir) / rel, audio)
         audio_paths.append(rel)
         peak_factors.append(factor)
 

@@ -97,6 +97,20 @@ class Scene:
         return f"e{highest + 1}"
 
 
+def _cues(direction: Direction, gain_db: float):
+    """((gain, delay) of the left channel, (gain, delay) of the right).
+
+    The gain is the pan-law gain times the event gain; the delay is the
+    integer interaural delay of the far channel, 0 for the near one.
+    """
+    az = direction.azimuth_deg
+    g = db_to_linear(gain_db)
+    delay = round(itd_samples(az))
+    # positive delay: source on the right, so the left channel is far
+    delays = (max(delay, 0), max(-delay, 0))
+    return tuple((gain * g, d) for gain, d in zip(pan_gains(az), delays))
+
+
 def spatialize(clip: SourceClip, direction: Direction, gain_db: float = 0.0) -> AudioBuffer:
     """Render a mono clip to stereo with level and integer-sample delay cues.
 
@@ -107,23 +121,51 @@ def spatialize(clip: SourceClip, direction: Direction, gain_db: float = 0.0) -> 
     Both channels are written straight into one (2, n) array, so the render
     allocates its output once and no per-channel temporaries.
     """
-    az = direction.azimuth_deg
-    g = db_to_linear(gain_db)
-    delay = round(itd_samples(az))
-    # positive delay: source on the right, so the left channel is far
-    delays = (max(delay, 0), max(-delay, 0))
     x = clip.samples
     n = len(x)
     out = np.empty((2, n))
-    for ch, (gain, d) in enumerate(zip(pan_gains(az), delays)):
+    for ch, (gain, d) in enumerate(_cues(direction, gain_db)):
         out[ch, :d] = 0.0
-        np.multiply(x[: n - d], gain * g, out=out[ch, d:])
+        np.multiply(x[: n - d], gain, out=out[ch, d:])
     return AudioBuffer(out)
 
 
-def render_scene(scene: Scene) -> AudioBuffer:
-    """Sample-wise superposition of all spatialized events. Never clips."""
-    total = np.zeros((2, scene.num_samples))
-    for event in scene.events:
-        total += spatialize(event.clip, event.direction, event.gain_db).samples
-    return AudioBuffer(total)
+# Samples mixed at a time: bounds the render's one temporary to 128 KiB.
+_BLOCK = 16384
+
+
+def render_scene(scene: Scene, out: np.ndarray | None = None) -> AudioBuffer:
+    """Sample-wise superposition of all spatialized events. Never clips.
+
+    Renders into ``out``, a float64 (2, n) array, when one is given. Each
+    event is scaled a block at a time into one small temporary and added to
+    the output, so the sums are those of adding whole spatialize() renders
+    in event order, bit for bit, without any of them being allocated.
+    """
+    n = scene.num_samples
+    if out is None:
+        out = np.empty((2, n))
+    elif out.shape != (2, n) or out.dtype != np.float64:
+        raise ValueError(f"render buffer must be float64 of shape {(2, n)}")
+    events = []
+    for e in scene.events:
+        if len(e.clip.samples) != n:
+            raise ValueError(f"event {e.event_id}: clip has "
+                             f"{len(e.clip.samples)} samples, scene {n}")
+        events.append((e.clip.samples, _cues(e.direction, e.gain_db)))
+    product = np.empty(min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        for ch in (0, 1):
+            acc = out[ch, start:stop]
+            acc.fill(0.0)
+            for x, cues in events:
+                gain, d = cues[ch]
+                # skipping a delayed channel's zero head is exact: a sum
+                # that starts at +0.0 is never -0.0, so +0.0 changes nothing
+                lo = max(start, d)
+                if lo < stop:
+                    tmp = product[: stop - lo]
+                    np.multiply(x[lo - d: stop - d], gain, out=tmp)
+                    acc[lo - start:] += tmp
+    return AudioBuffer(out)

@@ -378,10 +378,10 @@ def test_criterion_8_pipeline_determinism(catalog, tmp_path, report):
     cfg1 = PipelineConfig(record_count=n, output_dir=str(runs[1][2]), seed=42)
     residual_worst = 0.0
     for row in rows:
-        _, plan, trajectory, _ = build_trajectory(catalog, cfg1, row["index"])
-        for i in range(1, len(trajectory)):
-            before_scene, before_audio = trajectory[i - 1]
-            after_scene, after_audio = trajectory[i]
+        _, plan, stages, _ = build_trajectory(catalog, cfg1, row["index"])
+        for before_scene, after_scene in zip(stages, stages[1:]):
+            before_audio = render_scene(before_scene)
+            after_audio = render_scene(after_scene)
             gone, new = _changed_sets(before_scene, after_scene)
             expected = np.zeros_like(before_audio.samples)
             for e in new:

@@ -179,6 +179,14 @@ def test_write_wav_allocates_one_float32_copy(tmp_path):
     np.testing.assert_array_equal(back.T, samples.astype(np.float32))
 
 
+def test_write_wav_reuses_its_frame_buffer(tmp_path):
+    buf = AudioBuffer(np.random.default_rng(3).uniform(-1, 1, (2, 240000)))
+    write_wav(tmp_path / "a.wav", buf)
+    peak, _ = _traced_peak(lambda: write_wav(tmp_path / "b.wav", buf))
+    assert peak < 0.05 * buf.samples.size * np.dtype(np.float32).itemsize
+    assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+
 def test_peak_matches_abs_max_without_a_temporary():
     samples = np.random.default_rng(2).uniform(-1, 1, (2, 240000))
     samples[1, 1234] = -1.5  # the largest magnitude is negative

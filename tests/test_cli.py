@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 import shutil
 import sys
@@ -237,6 +238,17 @@ def test_config_file_supplies_seed(scene_file, tmp_path, capsys):
     assert main(["--config", str(cfg), "edit", str(scene_file), str(plan),
                  str(tmp_path / "out")]) == 0
     assert "seed:" not in capsys.readouterr().out  # seed came from config
+
+
+def test_unknown_config_key_is_warned(tmp_path, caplog):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"log_levl": "json", "seed": 3}))
+    assert main(["--config", str(cfg), "parse",
+                 str(tmp_path / "missing.txt")]) == 3
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelno == logging.WARNING]
+    assert warned == ["config key 'log_levl' names no option of 'parse'; "
+                      "ignored"]
 
 
 def test_config_file_supplies_log_level(tmp_path, capsys):
@@ -481,6 +493,19 @@ def test_synth_designer_that_is_not_an_object_is_schema_error(
     ("single_step_expansion", "yes"), ("single_step_expansion", 1),
 ])
 def test_synth_config_field_of_wrong_type_is_schema_error(
+        tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"record_count": 1,
+                               "output_dir": str(tmp_path / "out"),
+                               field: value}))
+    assert main(["synth", str(cfg)]) == 2
+    assert "invalid pipeline config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field,value", [("output_dir", 5),
+                                         ("catalog_root", 7)])
+def test_synth_config_path_of_wrong_type_is_schema_error(
         tmp_path, capsys, field, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"record_count": 1,

@@ -144,11 +144,13 @@ def test_execute_plan_trajectory_shape(catalog):
         TurnUp(label="dog bark", delta_db=2.0),
         Add(label="wind"),
     ))
-    traj, edited = execute_plan(scene, plan, catalog=catalog,
-                                rng=random.Random(0))
-    assert len(traj) == 4
+    stages, edited = execute_plan(scene, plan, catalog=catalog,
+                                  rng=random.Random(0))
+    audio = [render_scene(stage) for stage in stages]
+    assert len(audio) == 4
     assert edited == [["e0"], ["e1"], ["e3"]]
-    np.testing.assert_array_equal(traj[0][1].samples,
+    assert stages[0] is scene
+    np.testing.assert_array_equal(audio[0].samples,
                                   render_scene(scene).samples)
 
 

@@ -1,5 +1,7 @@
 import json
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from stereoedit.pipeline import (MANIFEST_NAME, SINGLE_STEP_MANIFEST_NAME,
                                  read_manifest, run_pipeline, sample_scene,
                                  scene_from_json, scene_to_json,
                                  synthesize_record)
+from stereoedit.spatial import render_scene
 import random
 
 
@@ -71,8 +74,10 @@ def test_build_trajectory_deterministic(catalog, tmp_path):
     s1, p1, t1, ids1 = build_trajectory(catalog, cfg, 3)
     s2, p2, t2, ids2 = build_trajectory(catalog, cfg, 3)
     assert p1 == p2 and ids1 == ids2
-    for (_, a1), (_, a2) in zip(t1, t2):
-        np.testing.assert_array_equal(a1.samples, a2.samples)
+    assert len(t1) == len(t2)
+    for stage1, stage2 in zip(t1, t2):
+        np.testing.assert_array_equal(render_scene(stage1).samples,
+                                      render_scene(stage2).samples)
 
 
 def test_synthesize_record_files_and_row(catalog, tmp_path):
@@ -85,6 +90,53 @@ def test_synthesize_record_files_and_row(catalog, tmp_path):
         assert rate == SAMPLE_RATE
         assert data.shape == (240000, 2)
     assert all(f <= 1.0 for f in row["peak_factors"])
+
+
+def test_reused_buffers_leak_nothing_between_records(catalog, tmp_path):
+    """Records written one after another, at scene lengths 4, 10 and 4 s,
+    match records written by fresh threads, whose buffers are all new."""
+    runs = (("a", 4.0), ("b", 10.0), ("c", 4.0))
+
+    def synthesize(name, seconds):
+        config = PipelineConfig(record_count=1, seed=0,
+                                output_dir=str(tmp_path / name),
+                                duration_seconds=seconds)
+        return synthesize_record(catalog, config, 0)
+
+    for name, seconds in runs:
+        factors = synthesize(name, seconds)["peak_factors"]
+        # a peak-normalized stage, then one exported as rendered
+        assert factors[0] < 1.0 and factors[1] == 1.0
+    for name, seconds in runs:
+        fresh = threading.Thread(target=synthesize,
+                                 args=(f"{name}_fresh", seconds))
+        fresh.start()
+        fresh.join(timeout=60)
+        assert not fresh.is_alive()
+        wavs = sorted((tmp_path / name / "audio").iterdir())
+        assert [w.name for w in wavs] == sorted(
+            w.name for w in (tmp_path / f"{name}_fresh" / "audio").iterdir())
+        for wav in wavs:
+            assert wav.read_bytes() == (
+                tmp_path / f"{name}_fresh" / "audio" / wav.name).read_bytes()
+
+
+def test_warm_record_allocates_little_beyond_its_clips(catalog, tmp_path):
+    """Once this thread's buffers exist, a record holds its clips, one
+    clip's ingest and no per-stage audio."""
+    config = PipelineConfig(record_count=1, output_dir=str(tmp_path), seed=0)
+    synthesize_record(catalog, config, 0)
+    for index in range(1, 5):
+        _, _, stages, _ = build_trajectory(catalog, config, index)
+        clips = len({id(e.clip) for stage in stages for e in stage.events})
+        clip_bytes = stages[0].num_samples * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            synthesize_record(catalog, config, index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (clips + 3) * clip_bytes, (index, clips, peak)
 
 
 def test_run_pipeline_manifest(catalog, tmp_path):

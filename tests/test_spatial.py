@@ -163,3 +163,47 @@ def test_spatialize_allocates_only_its_output():
         finally:
             tracemalloc.stop()
         assert peak <= 1.2 * buf.samples.nbytes, (direction, peak)
+
+
+def _reference_render(scene):
+    """The whole-buffer formula: add each event's spatialize() render, in
+    event order, to zeros."""
+    total = np.zeros((2, scene.num_samples))
+    for e in scene.events:
+        total += spatialize(e.clip, e.direction, e.gain_db).samples
+    return total
+
+
+def test_render_scene_bit_exact_against_reference(make_scene):
+    scene = make_scene(seed=4, k_min=5, k_max=5)
+    assert {e.direction for e in scene.events} == set(Direction)
+    expected = _reference_render(scene)
+    assert np.array_equal(render_scene(scene).samples, expected)
+    # a caller's buffer is overwritten whatever it held, not added to
+    out = np.full((2, scene.num_samples), 7.0)
+    audio = render_scene(scene, out=out)
+    assert audio.samples is out
+    assert np.array_equal(out, expected)
+
+
+def test_render_scene_rejects_a_mismatched_buffer_or_clip():
+    clip = _clip(n=1000)
+    scene = Scene((EventSpec("e0", "a", clip, Direction.LEFT, 0.0),),
+                  1000 / SAMPLE_RATE)
+    for out in (np.empty((2, 999)), np.empty((2, 1000), np.float32)):
+        with pytest.raises(ValueError, match="render buffer"):
+            render_scene(scene, out=out)
+    with pytest.raises(ValueError, match="999 samples"):
+        render_scene(Scene((EventSpec("e0", "a", _clip(n=999), Direction.LEFT,
+                                      0.0),), 1000 / SAMPLE_RATE))
+
+
+def test_render_scene_allocates_little_beyond_its_output(make_scene):
+    scene = make_scene(seed=4, k_min=5, k_max=5)
+    tracemalloc.start()
+    try:
+        audio = render_scene(scene)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * audio.samples.nbytes
