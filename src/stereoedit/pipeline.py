@@ -16,9 +16,10 @@ import logging
 import math
 import os
 import random
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -242,6 +243,48 @@ def _worker(args):
         return f"{type(exc).__name__}: {exc}"
 
 
+@contextmanager
+def process_map(width: int, caller_shares: bool = False):
+    """A ``map(fn, items)`` over ``width`` processes, yielding results in
+    submission order: the builtin ``map`` at a width of 1 or less, else one
+    process pool, shut down when the block exits.
+
+    The pool has ``width`` workers, or, with ``caller_shares``, ``width - 1``
+    that run the first items while this process runs the last
+    ``1 / width`` of them. That saves a fork but balances only items of
+    about equal cost; the pool alone hands each item to the next free
+    worker. A shared map takes one call per block, as its pool shuts down
+    once that call has submitted its items. Either way the first failing
+    item in submission order is the one that raises."""
+    if width <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(
+            max_workers=width - 1 if caller_shares else width) as pool:
+        if not caller_shares:
+            yield pool.map
+            return
+
+        def shared_map(fn, items):
+            items = list(items)
+            split = len(items) * (width - 1) // width
+            futures = [pool.submit(fn, item) for item in items[:split]]
+            # the workers exit as soon as their items are done, while this
+            # process still scores its own
+            closing = threading.Thread(target=pool.shutdown)
+            closing.start()
+            try:
+                tail = [fn(item) for item in items[split:]]
+            finally:
+                closing.join()  # so every future is done
+                # the pool's items come first, so its failure is the one
+                # raised, even when one of this process's items failed too
+                head = [future.result() for future in futures]
+            return head + tail
+
+        yield shared_map
+
+
 def run_pipeline(config: PipelineConfig, catalog: Catalog | None = None) -> PipelineStats:
     """Produce record_count successful records plus manifests.
 
@@ -263,11 +306,7 @@ def run_pipeline(config: PipelineConfig, catalog: Catalog | None = None) -> Pipe
     budget = config.effective_failure_budget
     rows: list[dict] = []
     failures: list[tuple[int, str]] = []
-    with ExitStack() as stack:
-        run = map
-        if config.worker_count > 1:
-            run = stack.enter_context(
-                ProcessPoolExecutor(max_workers=config.worker_count)).map
+    with process_map(config.worker_count) as run:
         while len(rows) < config.record_count:
             # Every index so far is a row or a failure, so each round starts
             # past the last one; both maps yield in submission order, so the

@@ -29,6 +29,23 @@ atomic_steps = st.one_of(
 )
 
 
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """Every process pool the test opens, counted by a ProcessPoolExecutor
+    subclass patched into the pipeline module."""
+    import stereoedit.pipeline as pl
+
+    opened = []
+
+    class CountingPool(pl.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
 @pytest.fixture(scope="session")
 def catalog_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("catalog")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import random
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from stereoedit.audio import read_wav
+from stereoedit import cli
+from stereoedit.audio import AudioBuffer, read_stereo, read_wav, write_wav
 from stereoedit.catalog import build_catalog
 from stereoedit.cli import main
 from stereoedit.pipeline import (MANIFEST_NAME, PipelineConfig, read_manifest,
@@ -373,6 +375,106 @@ def test_eval_row_without_audio_paths_is_schema_error(dataset, tmp_path,
 
 def _write_silent_wav(path):
     wavfile.write(path, 24000, np.zeros(2400, dtype=np.float32))
+
+
+@pytest.fixture(scope="module")
+def scored_dataset(catalog, tmp_path_factory):
+    """Three 2 s records and their candidates: each stage's gain changed by
+    -1 to -5 dB, and every other stage's channels swapped."""
+    out = tmp_path_factory.mktemp("scored")
+    run_pipeline(PipelineConfig(record_count=3, output_dir=str(out), seed=5,
+                                duration_seconds=2.0), catalog=catalog)
+    cand = out / "cand"
+    for j, rel in enumerate(
+            rel for row in read_manifest(out / MANIFEST_NAME)
+            for rel in row["audio_paths"]):
+        ref = read_stereo(out / rel)
+        samples = ref.samples[::-1] if j % 2 else ref.samples
+        (cand / rel).parent.mkdir(parents=True, exist_ok=True)
+        gain = 10.0 ** (-(1 + j % 5) / 20)
+        write_wav(cand / rel, AudioBuffer(samples * gain))
+    return out
+
+
+def _eval(manifest, cand, monkeypatch, width, csv_path=None):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: width)
+    args = ["eval", str(manifest), str(cand)]
+    return main(args + ["--csv", str(csv_path)] if csv_path else args)
+
+
+# sha256 of the serial CSV of scored_dataset, before eval ran in a pool
+SCORED_DATASET_CSV_SHA256 = ("f001e03951c74ef4e7149463a846a627"
+                             "368c830fadbfa8bcaab7f116a4430af7")
+
+
+def test_eval_csv_bytes_do_not_depend_on_width(scored_dataset, tmp_path,
+                                               monkeypatch):
+    manifest = scored_dataset / MANIFEST_NAME
+    csvs = []
+    for width in (1, 2, 3):
+        csvs.append(tmp_path / f"w{width}.csv")
+        assert _eval(manifest, scored_dataset / "cand", monkeypatch, width,
+                     csvs[-1]) == 0
+    serial, *pooled = (path.read_bytes() for path in csvs)
+    assert pooled == [serial, serial]
+    assert len(serial.splitlines()) > 10
+    assert hashlib.sha256(serial).hexdigest() == SCORED_DATASET_CSV_SHA256
+
+
+def _manifest(dataset, pairs):
+    """A one-row manifest beside the dataset's audio with its first
+    ``pairs`` stages."""
+    row = read_manifest(dataset / MANIFEST_NAME)[0]
+    row["audio_paths"] = row["audio_paths"][:pairs]
+    manifest = dataset / f"first_{pairs}_pairs.jsonl"
+    manifest.write_text(json.dumps(row) + "\n" if pairs else "")
+    return manifest
+
+
+@pytest.mark.parametrize("pairs,pools", [(3, 1), (1, 0), (0, 0)])
+def test_eval_opens_one_pool_for_two_or_more_pairs(
+        dataset, tmp_path, monkeypatch, opened_pools, pairs, pools):
+    csv_path = tmp_path / "s.csv"
+    assert _eval(_manifest(dataset, pairs), dataset, monkeypatch, 2,
+                 csv_path) == 0
+    assert len(opened_pools) == pools
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "record_id,audio_index,lsd,gcc_mse"
+    assert len(lines) == 1 + pairs
+
+
+@pytest.mark.parametrize("damage,code,message", [
+    ({2: None}, 3, "missing candidate audio for audio/"),
+    ({1: _write_silent_wav}, 2, "expected a stereo WAV"),
+    ({1: _write_silent_wav, 2: None}, 2, "expected a stereo WAV"),
+    ({1: None, 2: _write_silent_wav}, 3, "missing candidate audio for audio/"),
+    ({2: None, 3: _write_silent_wav}, 3, "missing candidate audio for audio/"),
+])
+def test_eval_reports_the_first_failing_pair_at_any_width(
+        dataset, tmp_path, monkeypatch, capsys, damage, code, message):
+    """``damage`` maps a pair index to how it fails: None deletes its
+    candidate, a writer overwrites its reference."""
+    refs = tmp_path / "refs"
+    shutil.copytree(dataset / "audio", refs / "audio")
+    cand = tmp_path / "cand"
+    shutil.copytree(dataset / "audio", cand / "audio")
+    row = read_manifest(dataset / MANIFEST_NAME)[0]
+    assert len(row["audio_paths"]) >= 4
+    for index, write in damage.items():
+        rel = row["audio_paths"][index]
+        if write is None:
+            (cand / rel).unlink()
+        else:
+            write(refs / rel)
+    manifest = refs / MANIFEST_NAME
+    manifest.write_text(json.dumps(row) + "\n")
+    errors = []
+    for width in (1, 2, 3):
+        assert _eval(manifest, cand, monkeypatch, width) == code
+        errors.append(capsys.readouterr().err)
+    first_failure = row["audio_paths"][min(damage)]
+    assert errors[0] == errors[1] == errors[2]
+    assert message in errors[0] and first_failure in errors[0]
 
 
 @pytest.mark.parametrize("write_clip,code", [

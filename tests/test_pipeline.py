@@ -1,4 +1,5 @@
 import json
+import os
 import tempfile
 import threading
 import tracemalloc
@@ -16,7 +17,7 @@ from stereoedit.errors import (FailureBudgetExceeded, OutputDirNotWritable,
 from stereoedit.pipeline import (MANIFEST_NAME, SINGLE_STEP_MANIFEST_NAME,
                                  PipelineConfig, build_trajectory,
                                  canonical_manifest_bytes, derive_record_seed,
-                                 expand_single_step,
+                                 expand_single_step, process_map,
                                  read_manifest, run_pipeline, sample_scene,
                                  scene_from_json, scene_to_json,
                                  synthesize_record)
@@ -319,17 +320,7 @@ def _fake_records(monkeypatch, failing):
 
 @pytest.mark.parametrize("workers,pools", [(1, 0), (2, 1)])
 def test_run_pipeline_opens_at_most_one_pool(tmp_path, monkeypatch,
-                                             workers, pools):
-    import stereoedit.pipeline as pl
-
-    opened = []
-
-    class CountingPool(pl.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(pl, "ProcessPoolExecutor", CountingPool)
+                                             opened_pools, workers, pools):
     _fake_records(monkeypatch, {1, 3, 4})  # three top-up rounds
     stats = run_pipeline(PipelineConfig(
         record_count=3, output_dir=str(tmp_path), failure_budget=3,
@@ -337,7 +328,23 @@ def test_run_pipeline_opens_at_most_one_pool(tmp_path, monkeypatch,
     assert [row["index"] for row in read_manifest(tmp_path / MANIFEST_NAME)] \
         == [0, 2, 5]
     assert stats.failed == 3
-    assert len(opened) == pools
+    assert len(opened_pools) == pools
+
+
+def _pid(_item):
+    return os.getpid()
+
+
+@pytest.mark.parametrize("width,here", [(2, 4), (3, 3)])
+def test_shared_process_map_runs_the_last_items_here(opened_pools, width,
+                                                     here):
+    """Of 7 items, the last ceil(7 / width) run in this process."""
+    with process_map(width, caller_shares=True) as run:
+        pids = list(run(_pid, range(7)))
+    assert pids[-here:] == [os.getpid()] * here
+    assert os.getpid() not in pids[:-here]
+    assert 1 <= len(set(pids[:-here])) <= width - 1
+    assert len(opened_pools) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
