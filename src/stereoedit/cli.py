@@ -17,6 +17,7 @@ import os
 import random
 import shlex
 import sys
+import tomllib
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .demo import build_demo_catalog
 from .engine import (HttpEditorAdapter, OracleEditor, SubprocessEditorAdapter,
                      execute_plan)
 from .errors import (ParseError, SchemaError, StereoEditError, UnreadableFile,
-                     ValidationFailed)
+                     ValidationFailed, error_text)
 from .metrics import gcc_mse, lsd, roundtrip_drift
 from .pipeline import (PipelineConfig, canonical_manifest_bytes, process_map,
                        read_manifest, run_pipeline, scene_from_json)
@@ -41,17 +42,7 @@ EXIT_OK = 0
 
 
 def _load_config_file(path: str) -> dict:
-    loads = json.loads
-    if path.endswith(".toml"):
-        try:
-            import tomllib
-        except ImportError:
-            try:
-                import tomli as tomllib
-            except ImportError:
-                raise UnreadableFile(
-                    "TOML config requires Python >= 3.11 or tomli")
-        loads = tomllib.loads
+    loads = tomllib.loads if path.endswith(".toml") else json.loads
     try:  # decode and parse errors are ValueErrors; deep nesting recurses
         data = loads(Path(path).read_text())
     except (OSError, RecursionError, ValueError) as exc:
@@ -249,6 +240,8 @@ def _make_editor(spec: str, args):
 
 
 def cmd_roundtrip(args) -> int:
+    if args.rounds < 0:
+        raise SchemaError(f"--rounds must be at least 0, not {args.rounds}")
     editor = _make_editor(args.editor_spec, args)
     audio = read_stereo(args.audio)
     result = roundtrip_drift(editor, audio, args.label, rounds=args.rounds)
@@ -382,10 +375,10 @@ def main(argv=None) -> int:
     except StereoEditError as exc:
         error, code = exc, exc.exit_code
     if args.log_level == "json":
-        print(json.dumps({"error": str(error), "exit_code": code}),
+        print(json.dumps({"error": error_text(error), "exit_code": code}),
               file=sys.stderr)
     else:
-        print(f"error: {error}", file=sys.stderr)
+        print(f"error: {error_text(error)}", file=sys.stderr)
     return code
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -49,6 +50,21 @@ class DesignerConfig:
     batch_size: int = 15
 
     def __post_init__(self):
+        optional = (str, type(None))
+        for name, types in (("endpoint_url", optional),
+                            ("model_name", optional), ("api_key_env", str)):
+            if not isinstance(getattr(self, name), types):
+                raise TypeError(f"{name} must be a string")
+        for name, least in (("max_retries", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            if type(value) is not int:  # exact, so not a bool
+                raise TypeError(f"{name} must be an integer")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
+        t = self.temperature
+        if t is not None and (type(t) not in (int, float)
+                              or not math.isfinite(t)):
+            raise TypeError("temperature must be a finite number")
         if self.mode is DesignerMode.LLM and not self.endpoint_url:
             raise ValueError("LLM designer mode requires endpoint_url")
 
@@ -350,7 +366,7 @@ def design_plan_llm(scene_labels_batch, config: DesignerConfig,
                 errors[i] = exc
 
     # initial pass, chunked by batch_size, then individual retries
-    step = max(1, config.batch_size)
+    step = config.batch_size
     for start in range(0, len(batch), step):
         request(indices[start:start + step])
     for i in indices:

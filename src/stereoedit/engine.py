@@ -117,8 +117,7 @@ def execute_plan(scene: Scene, plan: EditPlan,
         try:
             after, edited_id = _edit_scene(stages[-1], step, catalog, rng)
         except Exception as exc:
-            # label and re-raise the same object (add_note needs Python 3.11)
-            exc.args = (f"step {i} ({serialize_step(step)}): {exc}",)
+            exc.add_note(f"step {i} ({serialize_step(step)})")
             raise
         stages.append(after)
         edited_ids.append([edited_id])

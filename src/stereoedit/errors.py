@@ -1,6 +1,13 @@
 """Exception hierarchy shared across the package."""
 
 
+def error_text(exc: BaseException) -> str:
+    """The error's message behind the step or round labels its handlers
+    noted, outermost first: ``round 1: step 0 (Remove rain): <message>``."""
+    notes = getattr(exc, "__notes__", ())
+    return "".join(f"{note}: " for note in reversed(notes)) + str(exc)
+
+
 class StereoEditError(Exception):
     """Base class for all package errors; ``exit_code`` is the CLI's exit
     status for the error (2 input rejected, 3 I/O, 4 otherwise)."""

@@ -169,8 +169,7 @@ def roundtrip_drift(editor: Editor, audio: AudioBuffer, pseudo_label: str,
             current = editor.edit(current, add)
             current = editor.edit(current, remove)
         except Exception as exc:
-            # label and re-raise the same object (add_note needs Python 3.11)
-            exc.args = (f"round {round_no}: {exc}",)
+            exc.add_note(f"round {round_no}")
             raise
         drifts.append(lsd(audio, current))
     return RoundTripResult(rounds=rounds, lsd_per_round=tuple(drifts))

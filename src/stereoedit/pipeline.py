@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import random
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +31,8 @@ from .designer import (DesignerConfig, DesignerMode, design_plan_llm,
                        design_plan_template)
 from .engine import execute_plan
 from .errors import (EmptyCatalog, FailureBudgetExceeded,
-                     OutputDirNotWritable, SchemaError, StereoEditError)
+                     OutputDirNotWritable, SchemaError, StereoEditError,
+                     error_text)
 from .plans import EditPlan, canonicalize_plan, plan_to_json, serialize_step
 from .spatial import Direction, EventSpec, Scene, render_scene
 
@@ -61,6 +63,11 @@ class PipelineConfig:
                      *budget):
             if type(getattr(self, name)) is not int:  # exact, so not a bool
                 raise TypeError(f"{name} must be an integer")
+        for name, least in (("record_count", 0), ("worker_count", 1),
+                            ("failure_budget", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise TypeError("output_dir must be a path")
         seconds = self.duration_seconds
@@ -150,16 +157,25 @@ def scene_to_json(scene: Scene) -> dict:
 
 def scene_from_json(data: dict) -> Scene:
     """Rebuild a scene from its JSON description, re-ingesting clips with
-    the standard fit + RMS-normalize treatment."""
+    the standard fit + RMS-normalize treatment.
+
+    JSON admits NaN and Infinity, so the duration must be finite, and each
+    gain finite with a linear factor ``10 ** (gain_db / 20)`` that is too."""
     duration = float(data.get("duration_seconds", CANONICAL_SECONDS))
+    if not 0 < duration < math.inf:
+        raise ValueError("duration_seconds must be positive and finite")
     events = []
     for i, ev in enumerate(data["events"]):
+        gain_db = float(ev["gain_db"])
+        if not (math.isfinite(gain_db)
+                and gain_db / 20 <= sys.float_info.max_10_exp):
+            raise ValueError(f"gain_db {gain_db} has no finite linear factor")
         events.append(EventSpec(
             event_id=str(ev.get("event_id", f"e{i}")),
             label=str(ev["label"]),
             clip=prepare_clip(load_clip(ev["clip_path"], ev["label"]), duration),
             direction=Direction.from_text(ev["direction"]),
-            gain_db=float(ev["gain_db"])))
+            gain_db=gain_db))
     return Scene(tuple(events), duration)
 
 
@@ -240,7 +256,7 @@ def _worker(args):
     try:
         return synthesize_record(catalog, config, index)
     except StereoEditError as exc:  # data failures are budgeted, per record
-        return f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {error_text(exc)}"
 
 
 @contextmanager

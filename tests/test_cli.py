@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import logging
+import math
 import random
 import shutil
 import sys
@@ -593,6 +595,8 @@ def test_synth_designer_that_is_not_an_object_is_schema_error(
     ("duration_seconds", "10"), ("duration_seconds", True),
     ("duration_seconds", 0), ("duration_seconds", -1.5),
     ("single_step_expansion", "yes"), ("single_step_expansion", 1),
+    ("record_count", -2), ("worker_count", -3), ("worker_count", 0),
+    ("failure_budget", -1),
 ])
 def test_synth_config_field_of_wrong_type_is_schema_error(
         tmp_path, capsys, field, value):
@@ -616,3 +620,71 @@ def test_synth_config_path_of_wrong_type_is_schema_error(
     assert main(["synth", str(cfg)]) == 2
     assert "invalid pipeline config" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", "15"), ("batch_size", 0), ("batch_size", True),
+    ("max_retries", -1), ("max_retries", 1.5), ("temperature", True),
+    ("temperature", "0.7"), ("temperature", math.nan), ("model_name", 5),
+    ("endpoint_url", 9), ("api_key_env", None),
+])
+def test_synth_designer_field_of_wrong_type_is_schema_error(
+        tmp_path, capsys, monkeypatch, field, value):
+    monkeypatch.setenv("STEREOEDIT_API_KEY", "key")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "record_count": 1, "output_dir": str(tmp_path / "out"),
+        "designer": {"mode": "llm", "endpoint_url": "http://127.0.0.1:9",
+                     field: value}}))
+    assert main(["synth", str(cfg)]) == 2
+    assert "invalid pipeline config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("duration_seconds", math.inf), ("gain_db", math.inf),
+    ("gain_db", math.nan), ("gain_db", 1e308),
+])
+def test_scene_number_that_is_not_finite_is_schema_error(
+        scene_file, tmp_path, capsys, field, value):
+    data = json.loads(scene_file.read_text())
+    (data["events"][0] if field == "gain_db" else data)[field] = value
+    scene_file.write_text(json.dumps(data))  # as Infinity or NaN
+    assert main(["render", str(scene_file), str(tmp_path / "o.wav")]) == 2
+    assert "invalid scene description" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rounds,code", [(-1, 2), (0, 0)])
+def test_roundtrip_negative_rounds_is_schema_error(scene_file, tmp_path,
+                                                  capsys, rounds, code):
+    wav = tmp_path / "in.wav"
+    assert main(["render", str(scene_file), str(wav)]) == 0
+    assert main(["roundtrip", "subprocess:cp {input} {output}", str(wav),
+                 "rain", "--work-dir", str(tmp_path / "w"),
+                 "--rounds", str(rounds)]) == code
+    assert ("--rounds must be at least 0" in capsys.readouterr().err) == (
+        code == 2)
+
+
+def test_roundtrip_io_error_names_its_round(scene_file, tmp_path, capsys):
+    wav = tmp_path / "in.wav"
+    assert main(["render", str(scene_file), str(wav)]) == 0
+    assert main(["roundtrip", "subprocess:cp {input} {output}", str(wav),
+                 "rain", "--work-dir", str(_blocker(tmp_path) / "w"),
+                 "--rounds", "1"]) == 3
+    assert (f"error: round 1: [Errno {errno.ENOTDIR}] "
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("log_level,line", [
+    ("warning", "error: step 0 (Add the sound of owl hoot): "
+                "Add steps require a catalog"),
+    ("json", '{"error": "step 0 (Add the sound of owl hoot): Add steps '
+             'require a catalog", "exit_code": 4}'),
+])
+def test_labelled_error_line(scene_file, tmp_path, capsys, log_level, line):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("Add the sound of owl hoot\n")
+    assert main(["--seed", "1", "--log-level", log_level, "edit",
+                 str(scene_file), str(plan), str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.splitlines()[-1] == line

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import stereoedit
+from stereoedit.errors import error_text
 
 SRC = Path(stereoedit.__file__).parent
 BROAD = {"Exception", "BaseException"}
@@ -12,7 +13,7 @@ BROAD = {"Exception", "BaseException"}
 ALLOWED_CATCH_ALLS = {
     # scipy raises many unrelated types on corrupt WAV headers
     ("audio.py", "read_wav"),
-    # these label the error with its step or round and re-raise it
+    # these add a note naming the step or round, and re-raise the error
     ("engine.py", "execute_plan"),
     ("metrics.py", "roundtrip_drift"),
 }
@@ -47,3 +48,23 @@ def test_only_the_allowed_handlers_catch_everything():
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         found += visitor.found
     assert sorted(found) == sorted(ALLOWED_CATCH_ALLS)
+
+
+def test_no_code_assigns_to_an_args_attribute():
+    # a label goes on as a note: the str() of an OSError ignores its args
+    stores = [(path.name, node.lineno)
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(),
+                                             filename=str(path)))
+              if isinstance(node, ast.Attribute) and node.attr == "args"
+              and not isinstance(node.ctx, ast.Load)]
+    assert stores == []
+
+
+def test_error_text_puts_the_outermost_note_first():
+    exc = OSError(20, "Not a directory")
+    exc.add_note("step 0 (Remove the sound of rain)")  # the inner handler
+    exc.add_note("round 1")
+    assert error_text(exc) == ("round 1: step 0 (Remove the sound of rain): "
+                               "[Errno 20] Not a directory")
+    assert error_text(ValueError("plain")) == "plain"
