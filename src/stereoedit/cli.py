@@ -32,8 +32,8 @@ from .errors import (ParseError, SchemaError, StereoEditError, UnreadableFile,
 from .metrics import gcc_mse, lsd, roundtrip_drift
 from .pipeline import (PipelineConfig, canonical_manifest_bytes, process_map,
                        read_manifest, run_pipeline, scene_from_json)
-from .plans import (parse_plan_json, parse_plan_text, plan_to_json,
-                    serialize_step, validate_plan)
+from .plans import (canonicalize_plan, parse_plan_json, parse_plan_text,
+                    plan_to_json, serialize_step, validate_plan)
 from .spatial import render_scene
 
 log = logging.getLogger("stereoedit")
@@ -106,6 +106,7 @@ def cmd_edit(args) -> int:
         for v in report.violations:
             print(f"violation {v.rule_id}: {v.message}", file=sys.stderr)
         raise ValidationFailed("plan failed validation")
+    plan = canonicalize_plan(plan)  # run the steps in the order they were checked
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -147,13 +147,7 @@ def gcc_mse(a: AudioBuffer, b: AudioBuffer) -> float:
 
 @dataclass(frozen=True)
 class RoundTripResult:
-    rounds: int
     lsd_per_round: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lsd_per_round", tuple(self.lsd_per_round))
-        if len(self.lsd_per_round) != self.rounds:
-            raise ValueError("one LSD value per round is required")
 
 
 def roundtrip_drift(editor: Editor, audio: AudioBuffer, pseudo_label: str,
@@ -172,4 +166,4 @@ def roundtrip_drift(editor: Editor, audio: AudioBuffer, pseudo_label: str,
             exc.add_note(f"round {round_no}")
             raise
         drifts.append(lsd(audio, current))
-    return RoundTripResult(rounds=rounds, lsd_per_round=tuple(drifts))
+    return RoundTripResult(tuple(drifts))

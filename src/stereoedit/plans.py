@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -361,51 +362,37 @@ class ValidationReport:
 def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
     """Check a plan against the closed rule set R1-R6.
 
-    R1 non-Add targets must match a scene label; R2 removes in [1,2] and at
-    least one source kept; R3 at most two adds; R4 added labels must not
-    duplicate scene labels; R5 dB values within [0, 6]; R6 no step may
-    target a label introduced by a later Add.
+    The steps are checked in the order they run (see canonicalize_plan),
+    against the scene sources still present when each step runs. R1 a
+    non-Add step must target a source still present; R2 at most two removes,
+    and at least one source kept; R3 at most two adds; R4 added labels must
+    not duplicate scene labels; R5 dB values within [0, 6]; R6 no step may
+    target a label that only an Add introduces.
     """
-    labels = {normalize_label(l) for l in scene_labels}
+    live = Counter(normalize_label(l) for l in scene_labels)
+    labels = set(live)
+    added = {normalize_label(s.label) for s in plan.steps if isinstance(s, Add)}
     violations: list[Violation] = []
+    removes = adds = 0
 
-    for i, step in enumerate(plan.steps):
-        if isinstance(step, Add):
-            continue
+    for i in _run_order(plan.steps):
+        step = plan.steps[i]
         key = normalize_label(step.label)
-        if key in labels:
-            continue
-        later = [j for j, s in enumerate(plan.steps) if j > i
-                 and isinstance(s, Add) and normalize_label(s.label) == key]
-        if later:
+        if isinstance(step, Add):
+            adds += 1
+            if key in labels:
+                violations.append(Violation(
+                    "R4", i, f"added label {step.label!r} duplicates a scene label"))
+        elif not live[key]:
+            rule, why = (("R6", "only an add introduces") if key in added else
+                         ("R1", "matches no scene source present when it runs"))
             violations.append(Violation(
-                "R6", i,
-                f"step {i} targets {step.label!r} which is only introduced "
-                f"by a later add (step {later[0]})"))
-        else:
-            violations.append(Violation(
-                "R1", i,
-                f"step {i} targets {step.label!r} which matches no scene label"))
-
-    removes = [normalize_label(s.label) for s in plan.steps if isinstance(s, Remove)]
-    if len(removes) > 2:
-        violations.append(Violation(
-            "R2", None, f"{len(removes)} removes; at most 2 allowed"))
-    if removes and labels and not labels - set(removes):
-        violations.append(Violation(
-            "R2", None, "plan removes every sound source; keep at least one"))
-
-    adds = [i for i, s in enumerate(plan.steps) if isinstance(s, Add)]
-    if len(adds) > 2:
-        violations.append(Violation(
-            "R3", None, f"{len(adds)} adds; at most 2 allowed"))
-
-    for i in adds:
-        if normalize_label(plan.steps[i].label) in labels:
-            violations.append(Violation(
-                "R4", i, f"added label {plan.steps[i].label!r} duplicates a scene label"))
-
-    for i, step in enumerate(plan.steps):
+                rule, i, f"step {i} targets {step.label!r}, which {why}"))
+        elif isinstance(step, Extract):
+            live = Counter({key: 1})
+        elif isinstance(step, Remove):
+            live[key] -= 1
+        removes += isinstance(step, Remove)
         value = getattr(step, "delta_db", getattr(step, "gain_db", None))
         if value is not None and not MIN_DELTA_DB <= value <= MAX_DELTA_DB:
             violations.append(Violation(
@@ -413,6 +400,15 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
                 f"step {i} dB value {value} outside "
                 f"[{MIN_DELTA_DB:g}, {MAX_DELTA_DB:g}]"))
 
+    if removes > 2:
+        violations.append(Violation(
+            "R2", None, f"{removes} removes; at most 2 allowed"))
+    if labels and not live.total():
+        violations.append(Violation(
+            "R2", None, "plan removes every sound source; keep at least one"))
+    if adds > 2:
+        violations.append(Violation(
+            "R3", None, f"{adds} adds; at most 2 allowed"))
     return ValidationReport(tuple(violations))
 
 
@@ -420,10 +416,15 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
 # Canonical ordering
 # ---------------------------------------------------------------------------
 
+def _run_order(steps) -> list[int]:
+    """Step indices in the order the steps run: a stable reorder into
+    remove/extract, then modify, then add."""
+    return sorted(range(len(steps)), key=lambda i: _step_type(steps[i]).group)
+
+
 def canonicalize_plan(plan: EditPlan) -> EditPlan:
-    """Stable reorder into remove/extract, then modify, then add."""
-    ordered = tuple(sorted(plan.steps, key=lambda s: _step_type(s).group))
+    """The plan with its steps in the order they are checked and run."""
     return EditPlan(instruction=plan.instruction,
                     sound_sources=plan.sound_sources,
-                    steps=ordered,
+                    steps=tuple(plan.steps[i] for i in _run_order(plan.steps)),
                     warnings=plan.warnings)

@@ -271,6 +271,12 @@ def test_criterion_6_validator_fidelity(report):
         ("dB out of range", plan(TurnUp(label="rain", delta_db=7.0)), ["R5"]),
         ("unmatched target", plan(Remove(label="thunder")), ["R1"]),
         ("duplicate add", plan(Add(label="rain")), ["R4"]),
+        ("target of an add", plan(TurnUp(label="wind", delta_db=2.0),
+                                  Add(label="wind")), ["R6"]),
+        # the Remove runs first, so the turn-up's target is gone by then
+        ("target removed before it runs",
+         plan(TurnUp(label="rain", delta_db=2.0), Remove(label="rain")),
+         ["R1"]),
     ]
     problems = []
     for name, fixture, want in fixtures:
@@ -278,7 +284,8 @@ def test_criterion_6_validator_fidelity(report):
         if got != want:
             problems.append(f"{name}: expected {want}, got {got}")
     report(6, not problems,
-            f"5 rule fixtures each yield exactly the expected violation"
+            f"{len(fixtures)} rule fixtures each yield exactly the expected "
+            f"violation"
             + ("" if not problems else "; " + "; ".join(problems)))
 
 

@@ -93,6 +93,19 @@ def test_edit_executes_plan(scene_file, catalog, tmp_path):
     assert (out_dir / "a01.wav").exists()
 
 
+def test_edit_runs_plan_in_canonical_order(scene_file, tmp_path):
+    first, second = json.loads(scene_file.read_text())["events"][:2]
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"Turn up the sound of {second['label']} by 3 dB\n"
+                    f"Remove the sound of {first['label']}\n")
+    out_dir = tmp_path / "out"
+    assert main(["--seed", "1", "edit", str(scene_file), str(plan),
+                 str(out_dir)]) == 0
+    run = json.loads((out_dir / "run.json").read_text())
+    assert run["steps"] == [f"Remove the sound of {first['label']}",
+                            f"Turn up the sound of {second['label']} by 3 dB"]
+
+
 def test_edit_engine_error_exit_code(scene_file, tmp_path):
     plan = tmp_path / "plan.txt"
     # valid against its own declared sources check is skipped: scene labels used

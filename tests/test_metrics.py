@@ -10,9 +10,8 @@ from stereoedit.audio import SAMPLE_RATE, AudioBuffer, SourceClip
 from stereoedit.engine import OracleEditor
 from stereoedit.errors import LengthMismatch, NoVoicedFrames
 from stereoedit.metrics import (EPS_POWER, GCC_MAX_LAG, HOP, PHAT_FLOOR,
-                                WINDOW, RoundTripResult, _tdoa_track,
-                                frame_is_silent, gcc_mse, gcc_phat_tdoa, lsd,
-                                roundtrip_drift)
+                                WINDOW, _tdoa_track, frame_is_silent,
+                                gcc_mse, gcc_phat_tdoa, lsd, roundtrip_drift)
 from stereoedit.pipeline import sample_scene
 from stereoedit.spatial import Direction, EventSpec, Scene, render_scene
 
@@ -254,11 +253,6 @@ def test_gcc_mse_all_silent_raises():
     silent = AudioBuffer(np.zeros((2, 4096)))
     with pytest.raises(NoVoicedFrames):
         gcc_mse(silent, silent)
-
-
-def test_roundtrip_result_length_check():
-    with pytest.raises(ValueError):
-        RoundTripResult(rounds=3, lsd_per_round=(0.1,))
 
 
 def test_roundtrip_drift_oracle_is_exact(catalog):

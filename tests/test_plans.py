@@ -277,6 +277,25 @@ def test_validate_future_add_target_r6():
     assert report.rule_ids() == ["R6"]
 
 
+@pytest.mark.parametrize("steps,want", [
+    # the Remove runs first, so the turn-up (step 0 of the plan) finds no rain
+    ((TurnUp(label="rain", delta_db=2.0), Remove(label="rain")), [("R1", 0)]),
+    ((Remove(label="rain"), Remove(label="rain")), [("R1", 1)]),
+    ((Extract(label="rain"), Remove(label="dog bark")), [("R1", 1)]),
+    ((Extract(label="rain"), Remove(label="rain")), [("R2", None)]),
+])
+def test_validate_against_sources_present_when_step_runs(steps, want):
+    report = validate_plan(_plan(*steps), LABELS)
+    assert [(v.rule_id, v.step_index) for v in report.violations] == want
+
+
+def test_validate_repeated_label_stays_present_after_one_remove():
+    labels = ["rain", "rain", "dog bark"]
+    plan = _plan(Remove(label="rain", direction=Direction.LEFT),
+                 TurnUp(label="rain", delta_db=1.0))
+    assert validate_plan(plan, labels).is_valid
+
+
 def test_normalize_label():
     assert normalize_label("  Dog   Bark ") == "dog bark"
 
