@@ -148,13 +148,18 @@ def read_stereo(path) -> AudioBuffer:
 
 def write_wav(path, buffer: AudioBuffer) -> None:
     """Export as stereo float32 WAV at the internal rate to a path or a
-    binary file object."""
+    binary file object. Samples that overflow float32 raise
+    UnsupportedFormat, and nothing is written."""
     # interleaved C-order frames, so scipy writes them without another copy;
     # filled a channel at a time, since one transposing cast of the whole
     # (2, n) block is about three times slower
     frames = scratch("wav_frames", buffer.samples.T.shape, np.float32)
-    for channel, samples in enumerate(buffer.samples):
-        frames[:, channel] = samples
+    try:
+        with np.errstate(over="raise"):
+            for channel, samples in enumerate(buffer.samples):
+                frames[:, channel] = samples
+    except FloatingPointError as exc:
+        raise UnsupportedFormat(f"{path}: samples overflow float32") from exc
     wavfile.write(path, buffer.sample_rate_hz, frames)
 
 

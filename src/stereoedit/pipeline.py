@@ -17,7 +17,6 @@ import math
 import os
 import random
 import sys
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -269,9 +268,8 @@ def process_map(width: int, caller_shares: bool = False):
     that run the first items while this process runs the last
     ``1 / width`` of them. That saves a fork but balances only items of
     about equal cost; the pool alone hands each item to the next free
-    worker. A shared map takes one call per block, as its pool shuts down
-    once that call has submitted its items. Either way the first failing
-    item in submission order is the one that raises."""
+    worker. Either way the first failing item in submission order is the
+    one that raises."""
     if width <= 1:
         yield map
         return
@@ -285,14 +283,9 @@ def process_map(width: int, caller_shares: bool = False):
             items = list(items)
             split = len(items) * (width - 1) // width
             futures = [pool.submit(fn, item) for item in items[:split]]
-            # the workers exit as soon as their items are done, while this
-            # process still scores its own
-            closing = threading.Thread(target=pool.shutdown)
-            closing.start()
             try:
                 tail = [fn(item) for item in items[split:]]
             finally:
-                closing.join()  # so every future is done
                 # the pool's items come first, so its failure is the one
                 # raised, even when one of this process's items failed too
                 head = [future.result() for future in futures]

@@ -360,18 +360,22 @@ class ValidationReport:
 
 
 def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
-    """Check a plan against the closed rule set R1-R6.
+    """Check a plan against the closed rule set R1-R7.
 
     The steps are checked in the order they run (see canonicalize_plan),
     against the scene sources still present when each step runs. R1 a
     non-Add step must target a source still present; R2 at most two removes,
     and at least one source kept; R3 at most two adds; R4 added labels must
     not duplicate scene labels; R5 dB values within [0, 6]; R6 no step may
-    target a label that only an Add introduces.
+    target a label that only an Add introduces; R7 no Extract may follow an
+    Add in the plan's own order, since it runs first and would keep the
+    added sound.
     """
     live = Counter(normalize_label(l) for l in scene_labels)
     labels = set(live)
     added = {normalize_label(s.label) for s in plan.steps if isinstance(s, Add)}
+    first_add = next((i for i, s in enumerate(plan.steps) if isinstance(s, Add)),
+                     len(plan.steps))
     violations: list[Violation] = []
     removes = adds = 0
 
@@ -392,6 +396,10 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
             live = Counter({key: 1})
         elif isinstance(step, Remove):
             live[key] -= 1
+        if isinstance(step, Extract) and i > first_add:
+            violations.append(Violation(
+                "R7", i, f"step {i} extracts {step.label!r} after an add; "
+                "extracts run first, so the added sound would stay"))
         removes += isinstance(step, Remove)
         value = getattr(step, "delta_db", getattr(step, "gain_db", None))
         if value is not None and not MIN_DELTA_DB <= value <= MAX_DELTA_DB:

@@ -89,7 +89,8 @@ class Scene:
         return round(self.duration_seconds * SAMPLE_RATE)
 
     def next_event_id(self) -> str:
-        # never reuse a freed id, so trajectory metadata stays unambiguous
+        # one past the highest id present, so a removed top id is reused;
+        # ROADMAP item 4 plans ids that are never reused
         highest = -1
         for e in self.events:
             if e.event_id.startswith("e") and e.event_id[1:].isdigit():

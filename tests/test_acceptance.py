@@ -11,12 +11,12 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import atomic_steps
 from stereoedit.audio import SAMPLE_RATE, SourceClip, read_wav
 from stereoedit.designer import DesignerConfig, DesignerMode, design_plan_llm
-from stereoedit.engine import OracleEditor, apply_step
+from stereoedit.engine import OracleEditor, apply_step, execute_plan
 from stereoedit.errors import ValidationFailed
 from stereoedit.metrics import gcc_mse, gcc_phat_tdoa, lsd, roundtrip_drift
 from stereoedit.pipeline import (MANIFEST_NAME, PipelineConfig,
@@ -24,7 +24,8 @@ from stereoedit.pipeline import (MANIFEST_NAME, PipelineConfig,
                                  read_manifest, run_pipeline, sample_scene)
 from stereoedit.plans import (Add, Change, EditPlan, Extract, Remove,
                               TurnDown, TurnUp, canonicalize_plan, parse_step,
-                              parse_plan_json, serialize_step, validate_plan)
+                              parse_plan_json, plan_to_json, serialize_step,
+                              validate_plan)
 from stereoedit.spatial import (Direction, itd_samples, render_scene,
                                 spatialize)
 
@@ -226,11 +227,32 @@ JSON_FIXTURES = [
     },
 ]
 
+_LABELS = st.sampled_from(["rain", "dog bark", "rooster crowing",
+                           "bell ring", "bell ring 2", "water waves",
+                           "footsteps on gravel"])
+_DIRECTIONS = st.sampled_from(Direction)
+# quarter-dB steps, signed: each prints as a plain decimal the grammar reads
+_DB = st.integers(-48, 48).map(lambda quarters: quarters / 4)
+
+# Every atomic step type, with each optional field both unset and set.
+atomic_steps = st.one_of(
+    st.builds(Add, label=_LABELS, direction=st.none() | _DIRECTIONS,
+              gain_db=st.none() | _DB),
+    st.builds(Remove, label=_LABELS, direction=st.none() | _DIRECTIONS),
+    st.builds(Extract, label=_LABELS, direction=st.none() | _DIRECTIONS),
+    st.builds(TurnUp, label=_LABELS, delta_db=_DB),
+    st.builds(TurnDown, label=_LABELS, delta_db=_DB),
+    st.builds(Change, label=_LABELS, to=_DIRECTIONS,
+              from_=st.none() | _DIRECTIONS),
+)
+
 
 @settings(max_examples=1000, deadline=None, database=None)
 @given(step=atomic_steps)
 def _step_roundtrip(step):
     assert parse_step(serialize_step(step)) == step
+    plan = EditPlan(instruction="", sound_sources=(), steps=(step,))
+    assert parse_plan_json(plan_to_json(plan)).steps == (step,)
 
 
 def test_criterion_5_plan_roundtrip(report):
@@ -247,7 +269,8 @@ def test_criterion_5_plan_roundtrip(report):
         fixtures_ok &= len(plan.steps) == len(fixture["atomic editing steps"])
     ok = roundtrip_ok and template_ok and fixtures_ok
     report(5, ok,
-            f"1000 generated steps round-trip ok={roundtrip_ok}, "
+            f"1000 generated steps round-trip through template text and "
+            f"JSON ok={roundtrip_ok}, "
             f"5 template sentences ok={template_ok}, "
             f"{len(JSON_FIXTURES)} JSON fixtures ok={fixtures_ok}")
 
@@ -277,6 +300,9 @@ def test_criterion_6_validator_fidelity(report):
         ("target removed before it runs",
          plan(TurnUp(label="rain", delta_db=2.0), Remove(label="rain")),
          ["R1"]),
+        # the Extract runs first, so the added wind would stay
+        ("extract after an add", plan(Add(label="wind"), Extract(label="rain")),
+         ["R7"]),
     ]
     problems = []
     for name, fixture, want in fixtures:
@@ -293,45 +319,56 @@ def test_criterion_6_validator_fidelity(report):
 # 7. Canonical-order equivalence of validator-passing plans.
 # ---------------------------------------------------------------------------
 
-def _run_plan(scene, steps, catalog, seed):
-    rng = random.Random(seed)
-    current = scene
-    audio = render_scene(scene)
-    for step in steps:
-        outcome = apply_step(current, step, catalog=catalog, rng=rng)
-        current, audio = outcome.scene_after, outcome.audio_after
-    return audio
+def _scene_and_steps(scene, catalog):
+    """The scene with 1-5 steps of every type and no direction qualifier.
+    Non-Add steps target a scene label, and Adds a catalog label the scene
+    lacks, with direction and gain each set or unset, as the template
+    designer's Adds have them. R1, R4 and R6 reject every other target."""
+    label = st.sampled_from(scene.labels)
+    db = st.integers(0, 6).map(float)
+    step = st.one_of(
+        st.builds(Add, label=st.sampled_from(
+                      [l for l in catalog.labels if l not in scene.labels]),
+                  direction=st.none() | st.sampled_from(Direction),
+                  gain_db=st.none() | db),
+        st.builds(Remove, label=label),
+        st.builds(Extract, label=label),
+        st.builds(TurnUp, label=label, delta_db=db),
+        st.builds(TurnDown, label=label, delta_db=db),
+        st.builds(Change, label=label, to=st.sampled_from(Direction)),
+    )
+    return st.tuples(st.just(scene), st.lists(step, min_size=1, max_size=5))
 
 
 def test_criterion_7_canonical_order(catalog, report):
-    from stereoedit.designer import design_plan_template
+    scene_plans = st.one_of([_scene_and_steps(
+        sample_scene(catalog, random.Random(seed), duration_seconds=1.0),
+        catalog) for seed in range(20)])
+    checked = 0
 
-    worst = 0.0
-    count = 0
-    seed = 0
-    while count < 200:
-        seed += 1
-        rng = random.Random(7000 + seed)
-        scene = sample_scene(catalog, rng, duration_seconds=2.0)
-        try:
-            plan = design_plan_template(scene.labels, rng)
-        except Exception:
-            continue
-        shuffled = list(plan.steps)
-        rng.shuffle(shuffled)
-        shuffled_plan = EditPlan(instruction=plan.instruction,
-                                 sound_sources=plan.sound_sources,
-                                 steps=tuple(shuffled))
-        if not validate_plan(shuffled_plan, scene.labels).is_valid:
-            continue
-        canonical = canonicalize_plan(shuffled_plan)
-        a = _run_plan(scene, shuffled_plan.steps, catalog, seed)
-        b = _run_plan(scene, canonical.steps, catalog, seed)
-        worst = max(worst, float(np.max(np.abs(a.samples - b.samples))))
-        count += 1
-    report(7, worst <= 1e-7,
-            f"200 shuffled validator-passing plans, canonical vs original "
-            f"order worst per-sample diff {worst:.2e} (threshold 1e-7)")
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(scene_plan=scene_plans)
+    def written_order_renders_as_canonical(scene_plan):
+        nonlocal checked
+        scene, steps = scene_plan
+        plan = EditPlan(instruction="", sound_sources=(), steps=tuple(steps))
+        assume(validate_plan(plan, scene.labels).is_valid)
+        finals = [render_scene(execute_plan(scene, order, catalog=catalog,
+                                            rng=random.Random(0))[0][-1])
+                  for order in (plan, canonicalize_plan(plan))]
+        same = finals[0].samples.tobytes() == finals[1].samples.tobytes()
+        assert same, f"renders differ: {'; '.join(map(serialize_step, steps))}"
+        checked += 1
+
+    try:
+        written_order_renders_as_canonical()
+        failure = ""
+    except AssertionError as exc:  # the shrunk counterexample
+        failure = f"; {exc}"
+    report(7, not failure and checked >= 200,
+            f"{checked} validator-passing plans of every step type run in "
+            f"written and canonical order render to identical bytes"
+            + failure)
 
 
 # ---------------------------------------------------------------------------

@@ -667,6 +667,17 @@ def test_scene_number_that_is_not_finite_is_schema_error(
     assert "invalid scene description" in capsys.readouterr().err
 
 
+def test_render_that_overflows_float32_writes_nothing(scene_file, tmp_path,
+                                                      capsys):
+    data = json.loads(scene_file.read_text())
+    data["events"][0]["gain_db"] = 1000.0  # finite as a float64 render
+    scene_file.write_text(json.dumps(data))
+    out = tmp_path / "o.wav"
+    assert main(["render", str(scene_file), str(out)]) == 2
+    assert "samples overflow float32" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rounds,code", [(-1, 2), (0, 0)])
 def test_roundtrip_negative_rounds_is_schema_error(scene_file, tmp_path,
                                                   capsys, rounds, code):

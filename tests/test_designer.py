@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stereoedit.demo import DEMO_LABELS
 from stereoedit.designer import (BUILTIN_THEMES, DesignerConfig, DesignerMode,
                                  base_prompt, design_plan_llm,
                                  design_plan_template, strip_markdown_fence)
 from stereoedit.errors import (AuthFailure, EndpointUnreachable,
                                MalformedResponse, NoCompatibleScenario,
                                ValidationFailed)
-from stereoedit.plans import Add, validate_plan
+from stereoedit.plans import Add, Remove, validate_plan
 
 LABELS = ["clock tick", "bird chirp", "wind"]
 
@@ -65,12 +66,22 @@ def test_strip_markdown_fence():
 # Template designer
 # ---------------------------------------------------------------------------
 
-def test_template_designer_valid_over_many_seeds():
-    for seed in range(500):
-        rng = random.Random(seed)
-        plan = design_plan_template(LABELS, rng)
-        assert validate_plan(plan, LABELS).is_valid
-        assert plan.instruction
+@settings(max_examples=500, deadline=None, database=None)
+@given(labels=st.lists(st.sampled_from(DEMO_LABELS), min_size=2, max_size=5,
+                       unique=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_template_designer_plans_validate(labels, seed):
+    try:
+        plan = design_plan_template(labels, random.Random(seed))
+    except NoCompatibleScenario:
+        return
+    assert validate_plan(plan, labels).is_valid
+    assert plan.instruction
+    assert 1 <= sum(isinstance(s, Remove) for s in plan.steps) <= 2
+    adds = [s for s in plan.steps if isinstance(s, Add)]
+    assert len(adds) <= 2
+    for add in adds:
+        assert add.direction is not None and add.gain_db is not None
 
 
 def test_template_designer_deterministic():
@@ -88,15 +99,6 @@ def test_template_designer_no_scenario():
     labels = sorted(theme.compatible_labels)
     with pytest.raises(NoCompatibleScenario):
         design_plan_template(labels, random.Random(0), themes=(theme,))
-
-
-def test_template_designer_add_caps():
-    for seed in range(200):
-        plan = design_plan_template(LABELS, random.Random(seed))
-        adds = [s for s in plan.steps if isinstance(s, Add)]
-        assert len(adds) <= 2
-        for add in adds:
-            assert add.direction is not None and add.gain_db is not None
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ import textwrap
 import numpy as np
 import pytest
 import requests
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stereoedit.audio import SAMPLE_RATE, SourceClip
 from stereoedit.engine import (HttpEditorAdapter, OracleEditor,
@@ -17,10 +15,8 @@ from stereoedit.engine import (HttpEditorAdapter, OracleEditor,
 from stereoedit.errors import (AdapterProtocolError, AdapterTimeout,
                                AmbiguousTarget, EmptyCatalog, EmptySceneResult,
                                EndpointUnreachable, TargetNotFound)
-from stereoedit.pipeline import sample_scene
 from stereoedit.plans import (Add, Change, EditPlan, Extract, Remove,
-                              TurnDown, TurnUp, canonicalize_plan,
-                              validate_plan)
+                              TurnDown, TurnUp)
 from stereoedit.spatial import (Direction, EventSpec, Scene, db_to_linear,
                                 render_scene)
 
@@ -164,42 +160,6 @@ def test_execute_plan_error_names_step():
         Remove(label="rain"), Remove(label="whale song")))
     with pytest.raises(TargetNotFound, match="step 1"):
         execute_plan(scene, plan)
-
-
-@pytest.fixture(scope="module")
-def short_scenes(catalog):
-    return [sample_scene(catalog, random.Random(seed), duration_seconds=1.0)
-            for seed in range(20)]
-
-
-def _unqualified_steps(labels):
-    """Every step type on the given labels, with no direction qualifier."""
-    label = st.sampled_from(labels)
-    db = st.integers(0, 6).map(float)
-    return st.one_of(
-        st.builds(Add, label=label),
-        st.builds(Remove, label=label),
-        st.builds(Extract, label=label),
-        st.builds(TurnUp, label=label, delta_db=db),
-        st.builds(TurnDown, label=label, delta_db=db),
-        st.builds(Change, label=label, to=st.sampled_from(Direction)),
-    )
-
-
-@settings(max_examples=400, deadline=None, database=None)
-@given(data=st.data())
-def test_every_valid_plan_executes(catalog, short_scenes, data):
-    scene = short_scenes[data.draw(st.integers(0, len(short_scenes) - 1))]
-    # spare catalog labels, so that an Add always finds a clip
-    spare = data.draw(st.lists(
-        st.sampled_from([l for l in catalog.labels if l not in scene.labels]),
-        min_size=1, max_size=2, unique=True))
-    steps = data.draw(st.lists(_unqualified_steps(scene.labels + spare),
-                               min_size=1, max_size=5))
-    plan = EditPlan(instruction="", sound_sources=(), steps=tuple(steps))
-    if validate_plan(plan, scene.labels).is_valid:
-        for order in (canonicalize_plan(plan), plan):
-            execute_plan(scene, order, catalog=catalog, rng=random.Random(0))
 
 
 def test_oracle_editor_tracks_scene(catalog):

@@ -338,12 +338,14 @@ def _pid(_item):
 @pytest.mark.parametrize("width,here", [(2, 4), (3, 3)])
 def test_shared_process_map_runs_the_last_items_here(opened_pools, width,
                                                      here):
-    """Of 7 items, the last ceil(7 / width) run in this process."""
+    """Of 7 items, the last ceil(7 / width) run in this process, on every
+    call in the block."""
     with process_map(width, caller_shares=True) as run:
-        pids = list(run(_pid, range(7)))
-    assert pids[-here:] == [os.getpid()] * here
-    assert os.getpid() not in pids[:-here]
-    assert 1 <= len(set(pids[:-here])) <= width - 1
+        calls = [list(run(_pid, range(7))) for _ in range(2)]
+    for pids in calls:
+        assert pids[-here:] == [os.getpid()] * here
+        assert os.getpid() not in pids[:-here]
+        assert 1 <= len(set(pids[:-here])) <= width - 1
     assert len(opened_pools) == 1
 
 

@@ -2,9 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
 
-from conftest import atomic_steps
 from stereoedit.errors import JsonSyntaxError, ParseError, SchemaError
 from stereoedit.plans import (Add, Change, EditPlan, Extract, Remove,
                               TurnDown, TurnUp, canonicalize_plan,
@@ -77,14 +75,6 @@ def test_parse_error_carries_hint():
     with pytest.raises(ParseError, match=re.escape(
             "expected 'Turn up the sound of <label> by <n> dB'")):
         parse_step("Turn up the sound of rain")
-
-
-@settings(max_examples=1000, deadline=None, database=None)
-@given(step=atomic_steps)
-def test_serialize_parse_roundtrip_fuzz(step):
-    assert parse_step(serialize_step(step)) == step
-    plan = EditPlan(instruction="", sound_sources=(), steps=(step,))
-    assert parse_plan_json(plan_to_json(plan)).steps == (step,)
 
 
 # (step, template sentence, JSON operation, JSON effect) for every operation,

@@ -86,7 +86,7 @@ def test_scene_unique_ids():
         Scene((ev, ev))
 
 
-def test_next_event_id_never_reuses():
+def test_next_event_id_follows_the_highest_id():
     clip = _clip()
     ev1 = EventSpec("e1", "a", clip, Direction.FRONT, 0.0)
     ev5 = EventSpec("e5", "b", clip, Direction.LEFT, 0.0)
