@@ -66,6 +66,14 @@ def test_strip_markdown_fence():
 # Template designer
 # ---------------------------------------------------------------------------
 
+def test_template_designer_valid_over_many_seeds():
+    for seed in range(500):
+        rng = random.Random(seed)
+        plan = design_plan_template(LABELS, rng)
+        assert validate_plan(plan, LABELS).is_valid
+        assert plan.instruction
+
+
 @settings(max_examples=500, deadline=None, database=None)
 @given(labels=st.lists(st.sampled_from(DEMO_LABELS), min_size=2, max_size=5,
                        unique=True),
@@ -99,6 +107,15 @@ def test_template_designer_no_scenario():
     labels = sorted(theme.compatible_labels)
     with pytest.raises(NoCompatibleScenario):
         design_plan_template(labels, random.Random(0), themes=(theme,))
+
+
+def test_template_designer_add_caps():
+    for seed in range(200):
+        plan = design_plan_template(LABELS, random.Random(seed))
+        adds = [s for s in plan.steps if isinstance(s, Add)]
+        assert len(adds) <= 2
+        for add in adds:
+            assert add.direction is not None and add.gain_db is not None
 
 
 # ---------------------------------------------------------------------------
