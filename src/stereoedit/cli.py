@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import random
 import shlex
@@ -243,6 +244,9 @@ def _make_editor(spec: str, args):
 def cmd_roundtrip(args) -> int:
     if args.rounds < 0:
         raise SchemaError(f"--rounds must be at least 0, not {args.rounds}")
+    if not 0 < args.timeout < math.inf:  # also rejects nan
+        raise SchemaError(f"--timeout must be a positive, finite number of "
+                          f"seconds, not {args.timeout}")
     editor = _make_editor(args.editor_spec, args)
     audio = read_stereo(args.audio)
     result = roundtrip_drift(editor, audio, args.label, rounds=args.rounds)

@@ -369,7 +369,9 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
     not duplicate scene labels; R5 dB values within [0, 6]; R6 no step may
     target a label that only an Add introduces; R7 no Extract may follow an
     Add in the plan's own order, since it runs first and would keep the
-    added sound.
+    added sound, and no Remove or Extract narrowed by a direction may follow
+    a Change of its label, since it runs first and would match the old
+    direction.
     """
     live = Counter(normalize_label(l) for l in scene_labels)
     labels = set(live)
@@ -400,6 +402,13 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
             violations.append(Violation(
                 "R7", i, f"step {i} extracts {step.label!r} after an add; "
                 "extracts run first, so the added sound would stay"))
+        elif (isinstance(step, (Remove, Extract)) and step.direction
+              and any(isinstance(s, Change) and normalize_label(s.label) == key
+                      for s in plan.steps[:i])):
+            violations.append(Violation(
+                "R7", i, f"step {i} targets {step.label!r} at "
+                f"{step.direction.value} after a change of it; removes and "
+                "extracts run first, so it would match the old direction"))
         removes += isinstance(step, Remove)
         value = getattr(step, "delta_db", getattr(step, "gain_db", None))
         if value is not None and not MIN_DELTA_DB <= value <= MAX_DELTA_DB:

@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from stereoedit.catalog import build_catalog
 from stereoedit.demo import build_demo_catalog
 from stereoedit.pipeline import sample_scene
+
+# properties render audio, and no run reads what an earlier run saved
+settings.register_profile("stereoedit", deadline=None, database=None)
+settings.load_profile("stereoedit")
 
 
 @pytest.fixture

@@ -106,6 +106,19 @@ def test_edit_runs_plan_in_canonical_order(scene_file, tmp_path):
                             f"Turn up the sound of {second['label']} by 3 dB"]
 
 
+def test_edit_rejects_a_qualified_extract_after_a_change(catalog, tmp_path,
+                                                         capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(scene_to_json(
+        sample_scene(catalog, random.Random(0), 3, 3, 1.0))))
+    plan = tmp_path / "plan.txt"
+    plan.write_text("Change the sound of rooster crow to left\n"
+                    "Extract the sound of rooster crow at left\n")
+    assert main(["edit", str(scene), str(plan), str(tmp_path / "out")]) == 2
+    assert "R7: step 1 targets 'rooster crow'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_edit_engine_error_exit_code(scene_file, tmp_path):
     plan = tmp_path / "plan.txt"
     # valid against its own declared sources check is skipped: scene labels used
@@ -688,6 +701,17 @@ def test_roundtrip_negative_rounds_is_schema_error(scene_file, tmp_path,
                  "--rounds", str(rounds)]) == code
     assert ("--rounds must be at least 0" in capsys.readouterr().err) == (
         code == 2)
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "-1", "0"])
+def test_roundtrip_timeout_must_be_positive_and_finite(scene_file, tmp_path,
+                                                      capsys, timeout):
+    wav, work = tmp_path / "in.wav", tmp_path / "w"
+    assert main(["render", str(scene_file), str(wav)]) == 0
+    assert main(["roundtrip", "subprocess:cp {input} {output}", str(wav),
+                 "rain", "--work-dir", str(work), "--timeout", timeout]) == 2
+    assert "--timeout must be a positive" in capsys.readouterr().err
+    assert not work.exists()
 
 
 def test_roundtrip_io_error_names_its_round(scene_file, tmp_path, capsys):

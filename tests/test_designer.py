@@ -74,7 +74,7 @@ def test_template_designer_valid_over_many_seeds():
         assert plan.instruction
 
 
-@settings(max_examples=500, deadline=None, database=None)
+@settings(max_examples=500)
 @given(labels=st.lists(st.sampled_from(DEMO_LABELS), min_size=2, max_size=5,
                        unique=True),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -140,22 +140,6 @@ def test_llm_fenced_response_accepted():
     assert not result.failures
 
 
-def test_llm_malformed_then_valid_retries(caplog):
-    calls = []
-
-    def transport(payload):
-        calls.append(payload)
-        if len(calls) == 1:
-            return "this is not json at all"
-        return json.dumps(VALID_PLAN)
-
-    with caplog.at_level("INFO", logger="stereoedit.designer"):
-        result = design_plan_llm([LABELS], _config(), transport=transport)
-    assert not result.failures
-    assert result.retry_counts[0] == 1
-    assert any("retry" in r.message for r in caplog.records)
-
-
 def test_llm_persistently_invalid_fails_with_validation_error():
     result = design_plan_llm([LABELS], _config(max_retries=2),
                              transport=lambda p: json.dumps(INVALID_PLAN))
@@ -215,27 +199,6 @@ def test_llm_missing_api_key(monkeypatch):
         design_plan_llm([LABELS], _config())
 
 
-def test_llm_all_accepted_plans_pass_validator():
-    plans = {
-        0: VALID_PLAN,
-        1: {
-            "sound sources": ["rain", "thunder"],
-            "complex editing instruction": "calm it down",
-            "atomic editing steps": [
-                {"operation": "turn down", "target": "thunder",
-                 "effect": "4dB"}],
-        },
-    }
-    batches = [LABELS, ["rain", "thunder"]]
-
-    def transport(payload):
-        return json.dumps([plans[0], plans[1]])
-
-    result = design_plan_llm(batches, _config(), transport=transport)
-    for labels, plan in zip(batches, result.plans):
-        assert validate_plan(plan, labels).is_valid
-
-
 # ---------------------------------------------------------------------------
 # LLM designer boundary: any response is a valid plan or a typed failure
 # ---------------------------------------------------------------------------
@@ -261,7 +224,7 @@ _JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(responses=st.lists(_JSON_VALUES.map(json.dumps) | _JSON_VALUES,
                           min_size=1, max_size=4))
 def test_llm_any_response_is_a_valid_plan_or_a_typed_failure(responses):

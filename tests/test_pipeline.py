@@ -350,7 +350,7 @@ def test_shared_process_map_runs_the_last_items_here(opened_pools, width,
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@settings(max_examples=25, deadline=None, database=None)
+@settings(max_examples=25)
 @given(record_count=st.integers(1, 6),
        failing=st.frozensets(st.integers(0, 12), max_size=8))
 def test_run_pipeline_rows_are_the_first_good_indices(workers, record_count,
