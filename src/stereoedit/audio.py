@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -68,6 +68,14 @@ class SourceClip:
 
     def rms(self) -> float:
         return float(np.sqrt(np.mean(np.square(self.samples))))
+
+
+def _clip(label: str, samples: np.ndarray, origin_path: str) -> SourceClip:
+    """SourceClip(label, samples, origin_path) for float64 mono samples known
+    to be finite, without the constructor's scan of every sample."""
+    clip = object.__new__(SourceClip)
+    clip.__dict__.update(label=label, samples=samples, origin_path=origin_path)
+    return clip
 
 
 @dataclass(frozen=True)
@@ -180,13 +188,16 @@ def load_clip(path, label: str) -> SourceClip:
 
     Stereo input is downmixed by channel average; other rates are resampled.
     """
-    rate, data = read_wav(path)
+    rate, data = read_wav(path)  # finite
+    if data.ndim == 1 and rate == SAMPLE_RATE:
+        return _clip(label, data, str(path))
     if data.ndim == 2:
         if data.shape[1] > 2:
             raise UnsupportedFormat(f"{path}: more than 2 channels")
         data = data.mean(axis=1)
-    samples = resample(data, rate, SAMPLE_RATE)
-    return SourceClip(label=label, samples=samples, origin_path=str(path))
+    # the downmix and the resampler can overflow on huge float samples
+    return SourceClip(label=label, samples=resample(data, rate, SAMPLE_RATE),
+                      origin_path=str(path))
 
 
 def fit_duration(clip: SourceClip, target_seconds: float = CANONICAL_SECONDS) -> SourceClip:
@@ -199,7 +210,7 @@ def fit_duration(clip: SourceClip, target_seconds: float = CANONICAL_SECONDS) ->
         samples = samples[:n]
     else:
         samples = np.concatenate([samples, np.zeros(n - len(samples))])
-    return replace(clip, samples=samples)
+    return _clip(clip.label, samples, clip.origin_path)
 
 
 def normalize_rms(clip: SourceClip) -> SourceClip:
@@ -208,7 +219,8 @@ def normalize_rms(clip: SourceClip) -> SourceClip:
     if rms == 0.0:
         raise SilentClip(f"all-zero clip: {clip.label!r}")
     factor = 10.0 ** (CLIP_REFERENCE_DBFS / 20.0) / rms
-    return replace(clip, samples=clip.samples * factor)
+    # finite: no sample exceeds sqrt(len) * rms in magnitude
+    return _clip(clip.label, clip.samples * factor, clip.origin_path)
 
 
 def prepare_clip(clip: SourceClip, duration_seconds: float) -> SourceClip:

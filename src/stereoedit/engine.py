@@ -44,12 +44,14 @@ def match_target(scene: Scene, label: str, direction: Direction | None = None):
 
 def _require_one(scene: Scene, label: str, direction: Direction | None) -> EventSpec:
     ids = match_target(scene, label, direction)
+    where = f" at {direction.value}" if direction else ""
     if not ids:
-        where = f" at {direction.value}" if direction else ""
         raise TargetNotFound(f"no event labeled {label!r}{where}")
     if len(ids) > 1:
+        advice = ("no qualifier tells them apart" if direction
+                  else "add a direction qualifier")
         raise AmbiguousTarget(
-            f"{len(ids)} events labeled {label!r}; add a direction qualifier")
+            f"{len(ids)} events labeled {label!r}{where}; {advice}")
     return next(e for e in scene.events if e.event_id == ids[0])
 
 

@@ -366,12 +366,12 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
     against the scene sources still present when each step runs. R1 a
     non-Add step must target a source still present; R2 at most two removes,
     and at least one source kept; R3 at most two adds; R4 added labels must
-    not duplicate scene labels; R5 dB values within [0, 6]; R6 no step may
-    target a label that only an Add introduces; R7 no Extract may follow an
-    Add in the plan's own order, since it runs first and would keep the
-    added sound, and no Remove or Extract narrowed by a direction may follow
-    a Change of its label, since it runs first and would match the old
-    direction.
+    not duplicate scene labels or each other; R5 dB values within [0, 6]; R6
+    no step may target a label that only an Add introduces; R7 no Extract
+    may follow an Add in the plan's own order, since it runs first and would
+    keep the added sound, and no Remove or Extract narrowed by a direction
+    may follow a Change of its label, since it runs first and would match
+    the old direction.
     """
     live = Counter(normalize_label(l) for l in scene_labels)
     labels = set(live)
@@ -379,16 +379,18 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
     first_add = next((i for i, s in enumerate(plan.steps) if isinstance(s, Add)),
                      len(plan.steps))
     violations: list[Violation] = []
-    removes = adds = 0
+    removes = 0
+    adding = []  # labels of the Adds checked so far
 
     for i in _run_order(plan.steps):
         step = plan.steps[i]
         key = normalize_label(step.label)
         if isinstance(step, Add):
-            adds += 1
-            if key in labels:
+            if key in labels or key in adding:
+                twin = "a scene label" if key in labels else "an earlier add"
                 violations.append(Violation(
-                    "R4", i, f"added label {step.label!r} duplicates a scene label"))
+                    "R4", i, f"added label {step.label!r} duplicates {twin}"))
+            adding.append(key)
         elif not live[key]:
             rule, why = (("R6", "only an add introduces") if key in added else
                          ("R1", "matches no scene source present when it runs"))
@@ -423,9 +425,9 @@ def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:
     if labels and not live.total():
         violations.append(Violation(
             "R2", None, "plan removes every sound source; keep at least one"))
-    if adds > 2:
+    if len(adding) > 2:
         violations.append(Violation(
-            "R3", None, f"{adds} adds; at most 2 allowed"))
+            "R3", None, f"{len(adding)} adds; at most 2 allowed"))
     return ValidationReport(tuple(violations))
 
 

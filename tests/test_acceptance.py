@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from stereoedit.audio import SAMPLE_RATE, SourceClip, read_wav
 from stereoedit.designer import DesignerConfig, DesignerMode, design_plan_llm
-from stereoedit.engine import (OracleEditor, apply_step, execute_plan,
-                               match_target)
+from stereoedit.engine import OracleEditor, apply_step, execute_plan
 from stereoedit.errors import StereoEditError, ValidationFailed
 from stereoedit.metrics import gcc_mse, gcc_phat_tdoa, lsd, roundtrip_drift
 from stereoedit.pipeline import (MANIFEST_NAME, PipelineConfig,
@@ -131,15 +130,13 @@ def _run_property(prop) -> str:
 def _undone(step, before, after, old, new, after_audio):
     """(suite, audio to match `before`'s): the inverse of the step, which
     edited `old` into `new`, on `after`, or for Remove and Extract `after`
-    plus the pair's other step on `before`; None if a Remove is ambiguous."""
+    plus the pair's other step on `before`."""
     if isinstance(step, (Remove, Extract)):
         other = Extract if isinstance(step, Remove) else Remove
         rest = (apply_step(before, other(step.label, step.direction))
                 .audio_after.samples if len(before.events) > 1 else 0.0)
         return "complement", after_audio + rest  # a sole event's Remove: 0
     if isinstance(step, Add):
-        if len(match_target(after, step.label, new.direction)) > 1:
-            return None
         suite, inverse = "add/remove", Remove(step.label, new.direction)
     elif isinstance(step, Change):
         suite, inverse = "change back", Change(step.label, old.direction,
@@ -173,10 +170,10 @@ def test_criterion_2_edit_inverses(catalog, scene_plans, report):
                                   .samples for k, e in a.items()
                                   if b.get(k) != e)
                               for a, b in ((new, old), (old, new)))
-            checks = [("residual", audio[i + 1] - audio[i] + removed, added)]
-            if undone := _undone(step, *stages[i:i + 2], old.get(edited_id),
-                                 new.get(edited_id), audio[i + 1]):
-                checks.append((*undone, audio[i]))
+            undone = _undone(step, *stages[i:i + 2], old.get(edited_id),
+                             new.get(edited_id), audio[i + 1])
+            checks = [("residual", audio[i + 1] - audio[i] + removed, added),
+                      (*undone, audio[i])]
             for suite, got, want in checks:
                 error = float(np.max(np.abs(got - want)))
                 worst[suite] = max(worst[suite], error)
@@ -364,6 +361,9 @@ def test_criterion_6_validator_fidelity(report):
         ("dB out of range", plan(TurnUp(label="rain", delta_db=7.0)), ["R5"]),
         ("unmatched target", plan(Remove(label="thunder")), ["R1"]),
         ("duplicate add", plan(Add(label="rain")), ["R4"]),
+        ("one label added twice",
+         plan(Add(label="wind"), Add(label="Wind", direction=Direction.LEFT)),
+         ["R4"]),
         ("target of an add", plan(TurnUp(label="wind", delta_db=2.0),
                                   Add(label="wind")), ["R6"]),
         # the Remove runs first, so the turn-up's target is gone by then

@@ -21,6 +21,14 @@ def test_source_clip_rejects_nan():
         SourceClip(label="x", samples=np.array([0.0, np.nan]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_public_constructors_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SourceClip(label="x", samples=np.array([0.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        AudioBuffer(np.array([[0.0, 0.0], [bad, 0.0]]))
+
+
 def test_audio_buffer_shape():
     buf = AudioBuffer(np.zeros((2, 100)))
     assert buf.num_samples == 100
@@ -120,6 +128,46 @@ def test_load_clip_downmixes_stereo(tmp_path):
     wavfile.write(str(path), SAMPLE_RATE, data.astype(np.float32))
     clip = load_clip(path, "x")
     np.testing.assert_allclose(clip.samples, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rate,channels", [(SAMPLE_RATE, 1),
+                                           (SAMPLE_RATE, 2), (16000, 1)])
+def test_load_clip_rejects_non_finite_float(tmp_path, rate, channels):
+    path = tmp_path / "inf.wav"
+    data = np.zeros((100, channels), dtype=np.float32)
+    data[3, 0] = np.inf
+    wavfile.write(path, rate, data.squeeze(axis=1) if channels == 1 else data)
+    with pytest.raises(UnsupportedFormat, match="finite"):
+        load_clip(path, "x")
+
+
+def test_load_clip_rejects_a_downmix_that_overflows(tmp_path):
+    # finite float64 samples whose channel sum is not
+    path = tmp_path / "huge.wav"
+    wavfile.write(path, SAMPLE_RATE, np.full((100, 2), 1.7e308))
+    with (pytest.raises(ValueError, match="finite"),
+          pytest.warns(RuntimeWarning, match="overflow")):
+        load_clip(path, "x")
+
+
+def test_native_clip_ingest_scans_no_sample(tmp_path, monkeypatch):
+    # a mono int16 WAV at the internal rate is finite as read: neither
+    # load_clip nor the fit and normalize steps after it scan it again
+    path = tmp_path / "a.wav"
+    data = (np.sin(np.arange(2400) / 7.0) * 20000).astype(np.int16)
+    wavfile.write(path, SAMPLE_RATE, data)
+    scans = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite",
+                        lambda *a, **k: scans.append(1) or isfinite(*a, **k))
+    clip = normalize_rms(fit_duration(load_clip(path, "x"), 0.2))
+    monkeypatch.undo()
+    assert scans == []
+    fit = np.concatenate([data / 2.0 ** 15, np.zeros(2400)])
+    rms = float(np.sqrt(np.mean(np.square(fit))))
+    np.testing.assert_array_equal(clip.samples, fit * (0.1 / rms))
+    assert (type(clip), clip.label, clip.origin_path, clip.samples.dtype) == (
+        SourceClip, "x", str(path), np.float64)
 
 
 def test_load_clip_rejects_multichannel(tmp_path):

@@ -74,6 +74,19 @@ def test_ambiguous_needs_direction():
     assert out.edited_event_ids == ("e0",)
 
 
+def test_ambiguous_message_advises_a_qualifier_only_when_there_is_none():
+    n = 24000
+    scene = Scene(tuple(
+        EventSpec(f"e{i}", "rain", _clip("rain", i, n), Direction.LEFT, 0.0)
+        for i in range(2)), 1.0)
+    with pytest.raises(AmbiguousTarget, match="add a direction qualifier"):
+        apply_step(scene, Remove(label="rain"))
+    with pytest.raises(AmbiguousTarget) as info:
+        apply_step(scene, Remove(label="rain", direction=Direction.LEFT))
+    assert str(info.value) == ("2 events labeled 'rain' at left; "
+                               "no qualifier tells them apart")
+
+
 def test_extract_keeps_spatialization():
     scene = _scene()
     out = apply_step(scene, Extract(label="clock tick"))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from stereoedit import metrics
 from stereoedit.audio import SAMPLE_RATE, AudioBuffer, SourceClip
 from stereoedit.engine import OracleEditor
 from stereoedit.errors import LengthMismatch, NoVoicedFrames
@@ -13,6 +14,7 @@ from stereoedit.metrics import (EPS_POWER, GCC_MAX_LAG, HOP, PHAT_FLOOR,
                                 WINDOW, _tdoa_track, frame_is_silent,
                                 gcc_mse, gcc_phat_tdoa, lsd, roundtrip_drift)
 from stereoedit.pipeline import sample_scene
+from stereoedit.plans import Remove
 from stereoedit.spatial import Direction, EventSpec, Scene, render_scene
 
 
@@ -267,14 +269,19 @@ def test_roundtrip_drift_oracle_is_exact(catalog):
 
 
 class _LossyEditor:
-    """Adds a tiny bias every call, so drift should grow monotonically."""
+    """Adds a tiny bias every call, so drift should grow monotonically.
+    Keeps what each Remove returned: the buffer each round scores."""
 
     def __init__(self):
         self.calls = 0
+        self.removed = []
 
     def edit(self, audio, step):
         self.calls += 1
-        return AudioBuffer(audio.samples * 1.01 + 1e-4)
+        out = AudioBuffer(audio.samples * 1.01 + 1e-4)
+        if isinstance(step, Remove):
+            self.removed.append(out)
+        return out
 
 
 def test_roundtrip_drift_detects_lossy_editor():
@@ -284,11 +291,96 @@ def test_roundtrip_drift_detects_lossy_editor():
     assert list(result.lsd_per_round) == sorted(result.lsd_per_round)
 
 
-class _ExplodingEditor:
+class _ExplodingEditor(_LossyEditor):
+    """Edits like _LossyEditor until the Add of round ``fail_round``."""
+
+    def __init__(self, fail_round=1):
+        super().__init__()
+        self.fail_round = fail_round
+
     def edit(self, audio, step):
-        raise RuntimeError("boom")
+        if self.calls == 2 * (self.fail_round - 1):
+            raise RuntimeError("boom")
+        return super().edit(audio, step)
 
 
 def test_roundtrip_drift_error_names_round():
     with pytest.raises(RuntimeError, match="round 1"):
         roundtrip_drift(_ExplodingEditor(), _noise_buffer(), "ghost", rounds=2)
+
+
+# roundtrip_drift analyses its reference once per call and reuses the
+# reference's block powers in every round: each round's value must still be
+# the unblocked formula's, bit for bit.
+
+def _drift_matches_reference(audio):
+    editor = _LossyEditor()
+    result = roundtrip_drift(editor, audio, "ghost", rounds=5)
+    assert result.lsd_per_round == tuple(_reference_lsd(audio, c)
+                                         for c in editor.removed)
+
+
+@pytest.mark.parametrize("n_frames", [1, 31, 32, 33, 65])
+def test_roundtrip_drift_matches_reference(n_frames):
+    audio = AudioBuffer(_delayed_noise(n_frames, seed=n_frames, delay=5))
+    _drift_matches_reference(audio)
+
+
+def test_roundtrip_drift_matches_reference_on_a_scene(catalog):
+    audio = render_scene(sample_scene(catalog, random.Random(7), 4, 4))
+    assert audio.num_samples == 10 * SAMPLE_RATE
+    _drift_matches_reference(audio)
+
+
+@pytest.fixture
+def transformed(monkeypatch):
+    """Frame counts of every _power call, split by whether the frames are
+    views into the buffer the test registers as the reference."""
+    counts = {"reference": 0, "other": 0, "of": None}
+    power = metrics._power
+
+    def counting(frames):
+        mine = np.shares_memory(frames, counts["of"].samples)
+        counts["reference" if mine else "other"] += len(frames)
+        return power(frames)
+
+    monkeypatch.setattr(metrics, "_power", counting)
+    return counts
+
+
+def test_roundtrip_drift_transforms_the_reference_once(transformed):
+    audio = AudioBuffer(_delayed_noise(65, seed=1, delay=5))
+    transformed["of"] = audio
+    roundtrip_drift(_LossyEditor(), audio, "ghost", rounds=5)
+    assert transformed["reference"] == 2 * 65  # each frame of both channels
+    assert transformed["other"] == 5 * 2 * 65
+
+
+def test_roundtrip_drift_zero_rounds_does_no_analysis(transformed):
+    # a reference too short for one frame is not an error when unused
+    audio = _noise_buffer(n=WINDOW - 1)
+    transformed["of"] = audio
+    editor = _LossyEditor()
+    result = roundtrip_drift(editor, audio, "ghost", rounds=0)
+    assert result.lsd_per_round == ()
+    assert editor.calls == 0
+    assert transformed == {"reference": 0, "other": 0, "of": audio}
+
+
+def test_roundtrip_drift_short_reference_fails_after_round_one_edits():
+    editor = _LossyEditor()
+    with pytest.raises(LengthMismatch):
+        roundtrip_drift(editor, _noise_buffer(n=WINDOW - 1), "ghost")
+    assert editor.calls == 2
+    # an editor failure comes first, noted with its round
+    with pytest.raises(RuntimeError, match="round 1"):
+        roundtrip_drift(_ExplodingEditor(), _noise_buffer(n=WINDOW - 1),
+                        "ghost")
+
+
+def test_roundtrip_drift_later_error_names_its_round():
+    editor = _ExplodingEditor(fail_round=3)
+    with pytest.raises(RuntimeError) as info:
+        roundtrip_drift(editor, _noise_buffer(), "ghost", rounds=5)
+    assert info.value.__notes__ == ["round 3"]
+    assert editor.calls == 4

@@ -241,6 +241,16 @@ def test_validate_duplicate_add_r4():
     assert report.rule_ids() == ["R4"]
 
 
+def test_validate_label_added_twice_r4():
+    # the later Add in run order is flagged, whatever its direction
+    report = validate_plan(_plan(Add(label="wind"), Remove(label="rain"),
+                                 Add(label="Wind", direction=Direction.LEFT)),
+                           LABELS)
+    (violation,) = report.violations
+    assert (violation.rule_id, violation.step_index) == ("R4", 2)
+    assert "earlier add" in violation.message
+
+
 def test_validate_db_range_r5():
     report = validate_plan(_plan(TurnUp(label="rain", delta_db=7.0)), LABELS)
     assert report.rule_ids() == ["R5"]
