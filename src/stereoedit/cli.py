@@ -31,8 +31,8 @@ from .engine import (HttpEditorAdapter, OracleEditor, SubprocessEditorAdapter,
 from .errors import (ParseError, SchemaError, StereoEditError, UnreadableFile,
                      ValidationFailed, error_text)
 from .metrics import gcc_mse, lsd, roundtrip_drift
-from .pipeline import (PipelineConfig, canonical_manifest_bytes, process_map,
-                       read_manifest, run_pipeline, scene_from_json)
+from .pipeline import (PipelineConfig, canonical_manifest_bytes, export_stages,
+                       process_map, read_manifest, run_pipeline, scene_from_json)
 from .plans import (canonicalize_plan, parse_plan_json, parse_plan_text,
                     plan_to_json, serialize_step, validate_plan)
 from .spatial import render_scene
@@ -102,11 +102,7 @@ def cmd_render(args) -> int:
 def cmd_edit(args) -> int:
     scene = _load_scene(args.scene_file)
     plan = _load_plan(args.plan_file)
-    report = validate_plan(plan, scene.labels)
-    if not report.is_valid:
-        for v in report.violations:
-            print(f"violation {v.rule_id}: {v.message}", file=sys.stderr)
-        raise ValidationFailed("plan failed validation")
+    validate_plan(plan, scene.labels).raise_if_invalid()
     plan = canonicalize_plan(plan)  # run the steps in the order they were checked
 
     out_dir = Path(args.out_dir)
@@ -115,14 +111,11 @@ def cmd_edit(args) -> int:
     rng = random.Random(_resolve_seed(args))
     stages, _ = execute_plan(scene, plan, catalog=catalog, rng=rng)
 
-    paths = []
-    for i, stage in enumerate(stages):  # one stage's audio at a time
-        path = out_dir / f"a{i:02d}.wav"
-        write_wav(path, render_scene(stage))
-        paths.append(str(path))
+    paths = [out_dir / f"a{i:02d}.wav" for i in range(len(stages))]
+    export_stages(stages, paths, peak_normalize=False)
     manifest = {
         "plan": plan_to_json(plan),
-        "audio_paths": paths,
+        "audio_paths": [str(path) for path in paths],
         "steps": [serialize_step(s) for s in plan.steps],
     }
     (out_dir / "run.json").write_text(json.dumps(manifest, indent=2))

@@ -319,10 +319,7 @@ def _plan_from_obj(obj, scene_labels) -> EditPlan:
         plan = parse_plan_json(json.dumps(obj))
     except (JsonSyntaxError, SchemaError) as exc:
         raise MalformedResponse(f"plan does not match schema: {exc}") from exc
-    report = validate_plan(plan, scene_labels)
-    if not report.is_valid:
-        raise ValidationFailed(
-            "; ".join(f"{v.rule_id}: {v.message}" for v in report.violations))
+    validate_plan(plan, scene_labels).raise_if_invalid()
     if not plan.sound_sources:
         plan = EditPlan(instruction=plan.instruction,
                         sound_sources=tuple(scene_labels),

@@ -202,31 +202,35 @@ def build_trajectory(catalog: Catalog, config: PipelineConfig, index: int):
     return scene, plan, stages, edited_ids
 
 
-def synthesize_record(catalog: Catalog, config: PipelineConfig,
-                      index: int) -> dict:
-    """Render one record to disk and return its manifest row.
-
-    Stages are rendered and written one at a time through this thread's
-    one render buffer, so a record holds one stage's audio, not all.
-    """
-    scene, plan, stages, edited_ids = build_trajectory(catalog, config, index)
-    record_id = f"rec{index:06d}"
-    audio_dir = Path(config.output_dir) / "audio"
-    audio_dir.mkdir(parents=True, exist_ok=True)
-
-    buffer = scratch("render", (2, scene.num_samples))
-    audio_paths = []
-    peak_factors = []
-    for i, stage in enumerate(stages):
-        rel = f"audio/{record_id}_a{i:02d}.wav"
+def export_stages(stages, paths, peak_normalize: bool) -> list[float]:
+    """Render each stage into this thread's one render buffer and write it
+    to its path, one stage at a time. With ``peak_normalize``, a render
+    whose peak exceeds 1 is first scaled by ``1 / peak`` in place. Returns
+    each stage's factor, 1.0 where none was applied."""
+    factors = []
+    for stage, path in zip(stages, paths, strict=True):
+        buffer = scratch("render", (2, stage.num_samples))
         audio = render_scene(stage, out=buffer)
         peak = audio.peak()
-        factor = 1.0 / peak if peak > 1.0 else 1.0
+        factor = 1.0 / peak if peak_normalize and peak > 1.0 else 1.0
         if factor != 1.0:
             buffer *= factor
-        write_wav(Path(config.output_dir) / rel, audio)
-        audio_paths.append(rel)
-        peak_factors.append(factor)
+        write_wav(path, audio)
+        factors.append(factor)
+    return factors
+
+
+def synthesize_record(catalog: Catalog, config: PipelineConfig,
+                      index: int) -> dict:
+    """Render one record to disk and return its manifest row."""
+    scene, plan, stages, edited_ids = build_trajectory(catalog, config, index)
+    record_id = f"rec{index:06d}"
+    out = Path(config.output_dir)
+    (out / "audio").mkdir(parents=True, exist_ok=True)
+    audio_paths = [f"audio/{record_id}_a{i:02d}.wav"
+                   for i in range(len(stages))]
+    peak_factors = export_stages(stages, [out / rel for rel in audio_paths],
+                                 peak_normalize=True)
 
     per_step_meta = [
         {"step": serialize_step(step),

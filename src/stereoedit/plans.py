@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .errors import JsonSyntaxError, ParseError, SchemaError
+from .errors import JsonSyntaxError, ParseError, SchemaError, ValidationFailed
 from .spatial import Direction
 
 MIN_DELTA_DB = 0.0
@@ -357,6 +357,12 @@ class ValidationReport:
 
     def rule_ids(self) -> list[str]:
         return [v.rule_id for v in self.violations]
+
+    def raise_if_invalid(self) -> None:
+        """Raise ValidationFailed listing each violation as ``R1: message``."""
+        if self.violations:
+            raise ValidationFailed("; ".join(
+                f"{v.rule_id}: {v.message}" for v in self.violations))
 
 
 def validate_plan(plan: EditPlan, scene_labels) -> ValidationReport:

@@ -90,7 +90,7 @@ class Scene:
 
     def next_event_id(self) -> str:
         # one past the highest id present, so a removed top id is reused;
-        # ROADMAP item 4 plans ids that are never reused
+        # manifest v2 plans ids that are never reused
         highest = -1
         for e in self.events:
             if e.event_id.startswith("e") and e.event_id[1:].isdigit():

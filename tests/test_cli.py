@@ -93,6 +93,29 @@ def test_edit_executes_plan(scene_file, catalog, tmp_path):
     assert (out_dir / "a01.wav").exists()
 
 
+# sha256 of edit's a00-a02 for the plan below; the stages peak at about
+# 1.31, 1.32 and 3.00, so these also pin that edit writes raw renders
+EDIT_STAGE_DIGESTS = (
+    "3800bffeabf6087a204818d4dc0c1a70938442315bd03baa30bc57b25351a2b5",
+    "c3315ed9d6322872f441bdcf7ba20f91027f34316eb5575ee46f927e0d68f551",
+    "5ac11993dccb42978cdbc7f696a9608e359f0e1dd621b5f682d15b2343a08ab3",
+)
+
+
+def test_edit_stage_bytes_are_pinned(scene_file, catalog_root, tmp_path):
+    label = json.loads(scene_file.read_text())["events"][0]["label"]
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"Turn up the sound of {label} by 6 dB\n"
+                    "Add the sound of owl hoot at left with 3 db\n")
+    out_dir = tmp_path / "out"
+    assert main(["--seed", "1", "edit", str(scene_file), str(plan),
+                 str(out_dir), "--catalog", str(catalog_root)]) == 0
+    assert tuple(
+        hashlib.sha256((out_dir / f"a{i:02d}.wav").read_bytes()).hexdigest()
+        for i in range(3)) == EDIT_STAGE_DIGESTS
+    assert read_stereo(out_dir / "a02.wav").peak() > 2.9
+
+
 def test_edit_runs_plan_in_canonical_order(scene_file, tmp_path):
     first, second = json.loads(scene_file.read_text())["events"][:2]
     plan = tmp_path / "plan.txt"
@@ -256,6 +279,18 @@ def test_json_log_errors(tmp_path, capsys):
                  str(tmp_path / "no.json"), str(tmp_path / "o.wav")]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == 3
+
+
+def test_json_log_edit_validation_error_is_one_line(scene_file, tmp_path,
+                                                   capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("Remove the sound of nonexistent label\n")
+    assert main(["--seed", "1", "--log-level", "json", "edit",
+                 str(scene_file), str(plan), str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["exit_code"] == 2
+    assert err["error"].startswith("R1: ")
 
 
 def test_config_file_supplies_seed(scene_file, tmp_path, capsys):
@@ -680,15 +715,21 @@ def test_scene_number_that_is_not_finite_is_schema_error(
     assert "invalid scene description" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["render", "edit"])
 def test_render_that_overflows_float32_writes_nothing(scene_file, tmp_path,
-                                                      capsys):
+                                                      capsys, command):
     data = json.loads(scene_file.read_text())
     data["events"][0]["gain_db"] = 1000.0  # finite as a float64 render
     scene_file.write_text(json.dumps(data))
-    out = tmp_path / "o.wav"
-    assert main(["render", str(scene_file), str(out)]) == 2
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"Turn down the sound of {data['events'][0]['label']} "
+                    "by 1 dB\n")
+    args = {"render": ["render", str(scene_file), str(tmp_path / "o.wav")],
+            "edit": ["--seed", "1", "edit", str(scene_file), str(plan),
+                     str(tmp_path / "out")]}[command]
+    assert main(args) == 2
     assert "samples overflow float32" in capsys.readouterr().err
-    assert not out.exists()
+    assert list(tmp_path.rglob("*.wav")) == []
 
 
 @pytest.mark.parametrize("rounds,code", [(-1, 2), (0, 0)])
