@@ -5,9 +5,8 @@ from .audio import (AudioBuffer, SourceClip, fit_duration, load_clip,
 from .catalog import Catalog, build_catalog, retrieve_clip
 from .designer import (DesignerConfig, DesignerMode, design_plan_llm,
                        design_plan_template)
-from .engine import (EditOutcome, Editor, HttpEditorAdapter, OracleEditor,
-                     SubprocessEditorAdapter, apply_step, execute_plan,
-                     match_target)
+from .engine import (Editor, HttpEditorAdapter, OracleEditor,
+                     SubprocessEditorAdapter, apply_step, execute_plan)
 from .metrics import (RoundTripResult, gcc_mse, gcc_phat_tdoa, lsd,
                       roundtrip_drift)
 from .pipeline import (PipelineConfig, PipelineStats, run_pipeline,

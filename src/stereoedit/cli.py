@@ -105,12 +105,12 @@ def cmd_edit(args) -> int:
     validate_plan(plan, scene.labels).raise_if_invalid()
     plan = canonicalize_plan(plan)  # run the steps in the order they were checked
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     catalog = build_catalog(args.catalog) if args.catalog else None
     rng = random.Random(_resolve_seed(args))
     stages, _ = execute_plan(scene, plan, catalog=catalog, rng=rng)
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"a{i:02d}.wav" for i in range(len(stages))]
     export_stages(stages, paths, peak_normalize=False)
     manifest = {

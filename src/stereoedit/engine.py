@@ -13,7 +13,7 @@ import base64
 import io
 import random
 import subprocess
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .audio import AudioBuffer, prepare_clip, read_stereo, write_wav
@@ -26,33 +26,21 @@ from .plans import (Add, AtomicStep, Change, EditPlan, Extract, Remove,
 from .spatial import Direction, EventSpec, Scene, render_scene
 
 
-@dataclass(frozen=True)
-class EditOutcome:
-    scene_after: Scene
-    audio_after: AudioBuffer
-    edited_event_ids: tuple[str, ...]
-
-
-def match_target(scene: Scene, label: str, direction: Direction | None = None):
-    """Event ids whose label matches under normalized comparison, optionally
-    filtered by direction."""
-    key = normalize_label(label)
-    return [e.event_id for e in scene.events
-            if normalize_label(e.label) == key
-            and (direction is None or e.direction == direction)]
-
-
 def _require_one(scene: Scene, label: str, direction: Direction | None) -> EventSpec:
-    ids = match_target(scene, label, direction)
+    """The one event whose label matches under normalized comparison,
+    optionally narrowed by direction."""
+    key = normalize_label(label)
+    matches = [e for e in scene.events if normalize_label(e.label) == key
+               and (direction is None or e.direction == direction)]
     where = f" at {direction.value}" if direction else ""
-    if not ids:
+    if not matches:
         raise TargetNotFound(f"no event labeled {label!r}{where}")
-    if len(ids) > 1:
+    if len(matches) > 1:
         advice = ("no qualifier tells them apart" if direction
                   else "add a direction qualifier")
         raise AmbiguousTarget(
-            f"{len(ids)} events labeled {label!r}{where}; {advice}")
-    return next(e for e in scene.events if e.event_id == ids[0])
+            f"{len(matches)} events labeled {label!r}{where}; {advice}")
+    return matches[0]
 
 
 def _swap(events, target: EventSpec, new: EventSpec):
@@ -69,8 +57,9 @@ _REWRITES = {
 }
 
 
-def _edit_scene(scene: Scene, step: AtomicStep, catalog: Catalog | None,
-                rng: random.Random | None) -> tuple[Scene, str]:
+def apply_step(scene: Scene, step: AtomicStep,
+               catalog: Catalog | None = None,
+               rng: random.Random | None = None) -> tuple[Scene, str]:
     """The scene after one atomic step, and the id of the event it edited."""
     if isinstance(step, Add):
         if catalog is None:
@@ -96,14 +85,6 @@ def _edit_scene(scene: Scene, step: AtomicStep, catalog: Catalog | None,
     return Scene(events, scene.duration_seconds), edited.event_id
 
 
-def apply_step(scene: Scene, step: AtomicStep,
-               catalog: Catalog | None = None,
-               rng: random.Random | None = None) -> EditOutcome:
-    """Apply one atomic step, returning the mutated scene and its render."""
-    after, edited_id = _edit_scene(scene, step, catalog, rng)
-    return EditOutcome(after, render_scene(after), (edited_id,))
-
-
 def execute_plan(scene: Scene, plan: EditPlan,
                  catalog: Catalog | None = None,
                  rng: random.Random | None = None):
@@ -117,7 +98,7 @@ def execute_plan(scene: Scene, plan: EditPlan,
     edited_ids = []
     for i, step in enumerate(plan.steps):
         try:
-            after, edited_id = _edit_scene(stages[-1], step, catalog, rng)
+            after, edited_id = apply_step(stages[-1], step, catalog, rng)
         except Exception as exc:
             exc.add_note(f"step {i} ({serialize_step(step)})")
             raise
@@ -147,9 +128,8 @@ class OracleEditor(Editor):
         self.rng = rng or random.Random(0)
 
     def edit(self, audio_before: AudioBuffer, step: AtomicStep) -> AudioBuffer:
-        outcome = apply_step(self.scene, step, catalog=self.catalog, rng=self.rng)
-        self.scene = outcome.scene_after
-        return outcome.audio_after
+        self.scene, _ = apply_step(self.scene, step, self.catalog, self.rng)
+        return render_scene(self.scene)
 
 
 def _check_adapter_output(audio_before: AudioBuffer, wav) -> AudioBuffer:

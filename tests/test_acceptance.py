@@ -133,8 +133,9 @@ def _undone(step, before, after, old, new, after_audio):
     plus the pair's other step on `before`."""
     if isinstance(step, (Remove, Extract)):
         other = Extract if isinstance(step, Remove) else Remove
-        rest = (apply_step(before, other(step.label, step.direction))
-                .audio_after.samples if len(before.events) > 1 else 0.0)
+        rest = (render_scene(apply_step(before, other(step.label,
+                                                      step.direction))[0])
+                .samples if len(before.events) > 1 else 0.0)
         return "complement", after_audio + rest  # a sole event's Remove: 0
     if isinstance(step, Add):
         suite, inverse = "add/remove", Remove(step.label, new.direction)
@@ -144,7 +145,7 @@ def _undone(step, before, after, old, new, after_audio):
     else:
         back = TurnDown if isinstance(step, TurnUp) else TurnUp
         suite, inverse = "turn up/down", back(step.label, step.delta_db)
-    return suite, apply_step(after, inverse).audio_after.samples
+    return suite, render_scene(apply_step(after, inverse)[0]).samples
 
 
 def test_criterion_2_edit_inverses(catalog, scene_plans, report):
@@ -229,10 +230,9 @@ def test_criterion_4_db_exactness(catalog, report):
             scene = sample_scene(catalog, random.Random(200 + seed),
                                  duration_seconds=2.0)
             target = scene.events[0].label
-            before = apply_step(scene, Extract(label=target)).audio_after
-            turned = apply_step(scene, TurnUp(label=target, delta_db=d))
-            after = apply_step(turned.scene_after,
-                               Extract(label=target)).audio_after
+            before = render_scene(apply_step(scene, Extract(target))[0])
+            turned, _ = apply_step(scene, TurnUp(label=target, delta_db=d))
+            after = render_scene(apply_step(turned, Extract(target))[0])
             ratio = after.rms() / before.rms()
             worst = max(worst, abs(ratio / 10 ** (d / 20) - 1.0))
     report(4, worst <= 1e-4,

@@ -332,6 +332,7 @@ def test_edit_add_without_catalog_is_engine_error(scene_file, tmp_path,
     assert main(["--seed", "1", "edit", str(scene_file), str(plan),
                  str(tmp_path / "out")]) == 4
     assert "require a catalog" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name,text", [
@@ -596,6 +597,7 @@ def test_edit_add_with_bad_catalog_clip(scene_file, tmp_path, capsys,
                  str(tmp_path / "out"),
                  "--catalog", str(tmp_path / "catalog")]) == code
     assert "step 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,content", [

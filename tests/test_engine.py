@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 import requests
 
+from stereoedit import engine
 from stereoedit.audio import SAMPLE_RATE, SourceClip
 from stereoedit.engine import (HttpEditorAdapter, OracleEditor,
                                SubprocessEditorAdapter, apply_step,
-                               execute_plan, match_target)
+                               execute_plan)
 from stereoedit.errors import (AdapterProtocolError, AdapterTimeout,
                                AmbiguousTarget, EmptyCatalog, EmptySceneResult,
                                EndpointUnreachable, TargetNotFound)
@@ -37,18 +38,16 @@ def _scene():
 
 def test_match_target():
     scene = _scene()
-    assert match_target(scene, "Dog  Bark") == ["e1"]
-    assert match_target(scene, "rain", Direction.LEFT) == ["e0"]
-    assert match_target(scene, "rain", Direction.RIGHT) == []
+    assert apply_step(scene, Remove("Dog  Bark"))[1] == "e1"
+    assert apply_step(scene, Remove("rain", Direction.LEFT))[1] == "e0"
+    with pytest.raises(TargetNotFound):
+        apply_step(scene, Remove("rain", Direction.RIGHT))
 
 
 def test_remove():
-    scene = _scene()
-    out = apply_step(scene, Remove(label="rain"))
-    assert [e.event_id for e in out.scene_after.events] == ["e1", "e2"]
-    assert out.edited_event_ids == ("e0",)
-    np.testing.assert_array_equal(out.audio_after.samples,
-                                  render_scene(out.scene_after).samples)
+    after, edited_id = apply_step(_scene(), Remove(label="rain"))
+    assert [e.event_id for e in after.events] == ["e1", "e2"]
+    assert edited_id == "e0"
 
 
 def test_remove_missing_raises():
@@ -70,8 +69,9 @@ def test_ambiguous_needs_direction():
     ), 1.0)
     with pytest.raises(AmbiguousTarget):
         apply_step(scene, Remove(label="rain"))
-    out = apply_step(scene, Remove(label="rain", direction=Direction.LEFT))
-    assert out.edited_event_ids == ("e0",)
+    _, edited_id = apply_step(scene, Remove(label="rain",
+                                            direction=Direction.LEFT))
+    assert edited_id == "e0"
 
 
 def test_ambiguous_message_advises_a_qualifier_only_when_there_is_none():
@@ -89,34 +89,34 @@ def test_ambiguous_message_advises_a_qualifier_only_when_there_is_none():
 
 def test_extract_keeps_spatialization():
     scene = _scene()
-    out = apply_step(scene, Extract(label="clock tick"))
-    assert [e.event_id for e in out.scene_after.events] == ["e2"]
+    after, _ = apply_step(scene, Extract(label="clock tick"))
+    assert [e.event_id for e in after.events] == ["e2"]
     only = Scene((scene.events[2],), scene.duration_seconds)
-    np.testing.assert_array_equal(out.audio_after.samples,
+    np.testing.assert_array_equal(render_scene(after).samples,
                                   render_scene(only).samples)
 
 
 def test_turn_up_down_adjust_gain():
     scene = _scene()
-    up = apply_step(scene, TurnUp(label="dog bark", delta_db=3.0))
-    assert up.scene_after.events[1].gain_db == 3.0
-    down = apply_step(scene, TurnDown(label="dog bark", delta_db=2.0))
-    assert down.scene_after.events[1].gain_db == -2.0
+    up, _ = apply_step(scene, TurnUp(label="dog bark", delta_db=3.0))
+    assert up.events[1].gain_db == 3.0
+    down, _ = apply_step(scene, TurnDown(label="dog bark", delta_db=2.0))
+    assert down.events[1].gain_db == -2.0
 
 
 def test_turn_up_scales_isolated_event_rms():
     scene = _scene()
-    before = apply_step(scene, Extract(label="dog bark")).audio_after
-    turned = apply_step(scene, TurnUp(label="dog bark", delta_db=6.0)).scene_after
-    after = apply_step(turned, Extract(label="dog bark")).audio_after
+    before = render_scene(apply_step(scene, Extract(label="dog bark"))[0])
+    turned, _ = apply_step(scene, TurnUp(label="dog bark", delta_db=6.0))
+    after = render_scene(apply_step(turned, Extract(label="dog bark"))[0])
     assert after.rms() / before.rms() == pytest.approx(db_to_linear(6.0),
                                                        rel=1e-12)
 
 
 def test_change_direction():
     scene = _scene()
-    out = apply_step(scene, Change(label="rain", to=Direction.RIGHT))
-    assert out.scene_after.events[0].direction is Direction.RIGHT
+    after, _ = apply_step(scene, Change(label="rain", to=Direction.RIGHT))
+    assert after.events[0].direction is Direction.RIGHT
     with pytest.raises(TargetNotFound):
         apply_step(scene, Change(label="rain", from_=Direction.RIGHT,
                                  to=Direction.FRONT))
@@ -133,20 +133,21 @@ def test_add_requires_catalog():
 
 def test_add_appends_event(catalog):
     scene = _scene()
-    out = apply_step(scene, Add(label="wind", direction=Direction.LEFT,
-                                gain_db=2.0),
-                     catalog=catalog, rng=random.Random(0))
-    added = out.scene_after.events[-1]
-    assert added.event_id == "e3"
+    after, edited_id = apply_step(scene, Add(label="wind",
+                                             direction=Direction.LEFT,
+                                             gain_db=2.0),
+                                  catalog=catalog, rng=random.Random(0))
+    added = after.events[-1]
+    assert added.event_id == edited_id == "e3"
     assert added.direction is Direction.LEFT
     assert added.gain_db == 2.0
     assert len(added.clip.samples) == scene.num_samples
 
 
 def test_add_defaults_front_zero_db(catalog):
-    out = apply_step(_scene(), Add(label="wind"), catalog=catalog,
-                     rng=random.Random(0))
-    added = out.scene_after.events[-1]
+    after, _ = apply_step(_scene(), Add(label="wind"), catalog=catalog,
+                          rng=random.Random(0))
+    added = after.events[-1]
     assert added.direction is Direction.FRONT and added.gain_db == 0.0
 
 
@@ -183,6 +184,29 @@ def test_oracle_editor_tracks_scene(catalog):
     assert len(editor.scene.events) == 4
     after_remove = editor.edit(after_add, Remove(label="wind"))
     np.testing.assert_array_equal(after_remove.samples, audio0.samples)
+
+
+def test_every_step_goes_through_apply_step(catalog, monkeypatch):
+    steps = []
+
+    def counting(scene, step, *args, **kwargs):
+        steps.append(step)
+        return apply_step(scene, step, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "apply_step", counting)
+    plan = EditPlan(instruction="", sound_sources=(), steps=(
+        Remove(label="rain"), TurnUp(label="dog bark", delta_db=2.0),
+        Add(label="wind")))
+    execute_plan(_scene(), plan, catalog=catalog, rng=random.Random(0))
+    assert steps == list(plan.steps)
+
+    steps.clear()
+    editor = OracleEditor(_scene(), catalog=catalog, rng=random.Random(0))
+    audio = render_scene(editor.scene)
+    edits = [Add(label="wind"), Remove(label="wind")]
+    for step in edits:
+        audio = editor.edit(audio, step)
+    assert steps == edits
 
 
 # ---------------------------------------------------------------------------
