@@ -6,10 +6,10 @@ import json
 import logging
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .audio import SourceClip, load_clip
+from .audio import ClipStore, SourceClip
 from .errors import CatalogMiss, EmptyCatalog
 from .plans import normalize_label
 
@@ -27,6 +27,19 @@ class Catalog:
     """Map from normalized label to the clip files carrying that label."""
 
     entries: dict[str, tuple[str, ...]]
+    # The clips this object has ingested. A copy or a pickle carries the
+    # entries only, so tasks stay small and a run can drop its store.
+    _store: ClipStore = field(default_factory=ClipStore, init=False,
+                              repr=False, compare=False)
+
+    def __reduce__(self):
+        return Catalog, (self.entries,)
+
+    def prepared_clip(self, path, label: str,
+                      duration_seconds: float) -> SourceClip:
+        """``prepare_clip(load_clip(path, label), duration_seconds)``, bit
+        for bit, from this catalog's store."""
+        return self._store.prepared(path, label, duration_seconds)
 
     @property
     def labels(self) -> list[str]:
@@ -108,9 +121,11 @@ def resolve_label(catalog: Catalog, label: str) -> str:
     raise CatalogMiss(f"no catalog label matches {label!r}")
 
 
-def retrieve_clip(catalog: Catalog, label: str, rng: random.Random) -> SourceClip:
-    """Pick one clip for the label: exact normalized match first, else the
-    best token-Jaccard match at or above the 0.5 threshold."""
+def retrieve_clip(catalog: Catalog, label: str, rng: random.Random,
+                  duration_seconds: float) -> SourceClip:
+    """Pick one clip for the label, prepared for a scene of
+    ``duration_seconds``: exact normalized match first, else the best
+    token-Jaccard match at or above the 0.5 threshold."""
     resolved = resolve_label(catalog, label)
     path = rng.choice(catalog.entries[resolved])
-    return load_clip(path, resolved)
+    return catalog.prepared_clip(path, resolved, duration_seconds)

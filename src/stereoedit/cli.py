@@ -17,6 +17,7 @@ import math
 import os
 import random
 import shlex
+import shutil
 import sys
 import tomllib
 from contextlib import nullcontext
@@ -110,9 +111,21 @@ def cmd_edit(args) -> int:
     stages, _ = execute_plan(scene, plan, catalog=catalog, rng=rng)
 
     out_dir = Path(args.out_dir)
+    # the outermost directory that mkdir creates, if any
+    made = next((d for d in (*reversed(out_dir.parents), out_dir)
+                 if not d.exists()), None)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"a{i:02d}.wav" for i in range(len(stages))]
-    export_stages(stages, paths, peak_normalize=False)
+    try:
+        export_stages(stages, paths, peak_normalize=False)
+    except (StereoEditError, OSError):
+        # leave no part of the trajectory behind
+        if made is not None:
+            shutil.rmtree(made)
+        else:
+            for path in paths:
+                path.unlink(missing_ok=True)
+        raise
     manifest = {
         "plan": plan_to_json(plan),
         "audio_paths": [str(path) for path in paths],

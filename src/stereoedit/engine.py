@@ -16,7 +16,7 @@ import subprocess
 from dataclasses import replace
 from pathlib import Path
 
-from .audio import AudioBuffer, prepare_clip, read_stereo, write_wav
+from .audio import AudioBuffer, read_stereo, write_wav
 from .catalog import Catalog, retrieve_clip
 from .errors import (AdapterProtocolError, AdapterTimeout, AmbiguousTarget,
                      EmptyCatalog, EmptySceneResult, EndpointUnreachable,
@@ -64,10 +64,11 @@ def apply_step(scene: Scene, step: AtomicStep,
     if isinstance(step, Add):
         if catalog is None:
             raise EmptyCatalog("Add steps require a catalog")
-        clip = retrieve_clip(catalog, step.label, rng or random.Random(0))
+        clip = retrieve_clip(catalog, step.label, rng or random.Random(0),
+                             scene.duration_seconds)
         edited = EventSpec(event_id=scene.next_event_id(),
                            label=step.label,
-                           clip=prepare_clip(clip, scene.duration_seconds),
+                           clip=clip,
                            direction=step.direction or Direction.FRONT,
                            gain_db=step.gain_db if step.gain_db is not None else 0.0)
         events = scene.events + (edited,)

@@ -10,6 +10,7 @@ byte surface (see canonical_manifest_bytes).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
@@ -135,7 +136,7 @@ def sample_scene(catalog: Catalog, rng: random.Random,
         events.append(EventSpec(
             event_id=f"e{i}",
             label=label,
-            clip=prepare_clip(load_clip(path, label), duration_seconds),
+            clip=catalog.prepared_clip(path, label, duration_seconds),
             direction=rng.choice((Direction.LEFT, Direction.FRONT,
                                   Direction.RIGHT)),
             gain_db=rng.uniform(*SCENE_GAIN_RANGE_DB)))
@@ -313,8 +314,10 @@ def run_pipeline(config: PipelineConfig, catalog: Catalog | None = None) -> Pipe
     except OSError as exc:
         raise OutputDirNotWritable(f"{out}: {exc}") from exc
 
-    if catalog is None:
-        catalog = build_catalog(out / "catalog")
+    # The run decodes clips into its own copy's store, so they are freed
+    # when it returns, and the caller's catalog keeps none of them.
+    catalog = (build_catalog(out / "catalog") if catalog is None
+               else copy.copy(catalog))
 
     budget = config.effective_failure_budget
     rows: list[dict] = []

@@ -84,8 +84,8 @@ def test_resolve_label_exact_and_fuzzy(tmp_path):
 
 
 def test_retrieve_clip_deterministic(catalog):
-    a = retrieve_clip(catalog, "dog bark", random.Random(7))
-    b = retrieve_clip(catalog, "dog bark", random.Random(7))
+    a = retrieve_clip(catalog, "dog bark", random.Random(7), 4.0)
+    b = retrieve_clip(catalog, "dog bark", random.Random(7), 4.0)
     assert a.origin_path == b.origin_path
     np.testing.assert_array_equal(a.samples, b.samples)
     assert a.label == "dog bark"

@@ -16,7 +16,9 @@ from stereoedit.audio import AudioBuffer, read_stereo, read_wav, write_wav
 from stereoedit.catalog import build_catalog
 from stereoedit.cli import main
 from stereoedit.pipeline import (MANIFEST_NAME, PipelineConfig, read_manifest,
-                                 run_pipeline, sample_scene, scene_to_json)
+                                 run_pipeline, sample_scene, scene_from_json,
+                                 scene_to_json)
+from stereoedit.spatial import render_scene
 
 
 @pytest.fixture
@@ -732,6 +734,34 @@ def test_render_that_overflows_float32_writes_nothing(scene_file, tmp_path,
     assert main(args) == 2
     assert "samples overflow float32" in capsys.readouterr().err
     assert list(tmp_path.rglob("*.wav")) == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_edit_that_overflows_after_its_first_stage_writes_nothing(
+        scene_file, tmp_path, capsys, existing):
+    data = json.loads(scene_file.read_text())
+    first = data["events"][0]
+    # the first event alone peaks at 0.6 of float32's limit, so stage 0
+    # exports and the 6 dB turn-up after it overflows
+    first["gain_db"] = 0.0
+    alone = scene_from_json({**data, "events": [first]})
+    peak = render_scene(alone).peak()
+    limit = float(np.finfo(np.float32).max)
+    first["gain_db"] = 20 * math.log10(0.6 * limit / peak)
+    scene_file.write_text(json.dumps(data))
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"Turn up the sound of {first['label']} by 6 dB\n")
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        (out / "keep.txt").write_text("not ours")
+    assert main(["--seed", "1", "edit", str(scene_file), str(plan),
+                 str(out)]) == 2
+    assert "a01.wav: samples overflow float32" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*.wav")) == []
+    assert ([p.name for p in out.iterdir()] == ["keep.txt"] if existing
+            else not out.exists())
 
 
 @pytest.mark.parametrize("rounds,code", [(-1, 2), (0, 0)])

@@ -12,7 +12,7 @@ BROAD = {"Exception", "BaseException"}
 # The only handlers allowed to catch everything, by (module, function):
 ALLOWED_CATCH_ALLS = {
     # scipy raises many unrelated types on corrupt WAV headers
-    ("audio.py", "read_wav"),
+    ("audio.py", "_read_pcm"),
     # these add a note naming the step or round, and re-raise the error
     ("engine.py", "execute_plan"),
     ("metrics.py", "roundtrip_drift"),
