@@ -1,7 +1,6 @@
 """Deterministic stereo audio-scene editing, dataset synthesis, evaluation."""
 
-from .audio import (AudioBuffer, SourceClip, fit_duration, load_clip,
-                    normalize_rms, read_wav, write_wav)
+from .audio import AudioBuffer, SourceClip, read_wav, write_wav
 from .catalog import Catalog, build_catalog, retrieve_clip
 from .designer import (DesignerConfig, DesignerMode, design_plan_llm,
                        design_plan_template)

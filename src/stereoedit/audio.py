@@ -193,7 +193,7 @@ def resample(samples: np.ndarray, from_rate: int, to_rate: int = SAMPLE_RATE) ->
                          window=taps * up)
 
 
-def _decode_clip(path, label: str) -> tuple[np.ndarray, float]:
+def _decode_clip(path) -> tuple[np.ndarray, float]:
     """``load_clip``'s samples in their smallest exact form: ``(samples,
     unit)`` such that ``samples * unit`` equals them bit for bit.
 
@@ -211,16 +211,20 @@ def _decode_clip(path, label: str) -> tuple[np.ndarray, float]:
         if data.shape[1] > 2:
             raise UnsupportedFormat(f"{path}: more than 2 channels")
         data = data.mean(axis=1)
-    # the downmix and the resampler can overflow on huge float samples
-    return SourceClip(label, resample(data, rate, SAMPLE_RATE)).samples, 1.0
+    samples = resample(data, rate, SAMPLE_RATE)
+    if not np.isfinite(samples).all():  # the downmix or resampler overflowed
+        raise UnsupportedFormat(f"{path}: samples must be finite")
+    return samples, 1.0
 
 
 def load_clip(path, label: str) -> SourceClip:
     """Ingest a WAV file as a mono clip at 24 kHz.
 
     Stereo input is downmixed by channel average; other rates are resampled.
+    Kept for the benchmark's tracer and as the tests' reference: the package
+    ingests clips through ``ClipStore``.
     """
-    samples, unit = _decode_clip(path, label)
+    samples, unit = _decode_clip(path)
     # q * 2**-15 is q / 2**15 exactly, as read_wav computes it
     return _clip(label, samples * unit, str(path))
 
@@ -247,15 +251,10 @@ def _rms_factor(clip: SourceClip) -> float:
 
 
 def normalize_rms(clip: SourceClip) -> SourceClip:
-    """Scale the clip so its RMS level is CLIP_REFERENCE_DBFS."""
+    """Scale the clip so its RMS level is CLIP_REFERENCE_DBFS. Kept for the
+    benchmark's tracer and as the tests' reference, as ``load_clip`` is."""
     # finite: no sample exceeds sqrt(len) * rms in magnitude
     return _clip(clip.label, clip.samples * _rms_factor(clip), clip.origin_path)
-
-
-def prepare_clip(clip: SourceClip, duration_seconds: float) -> SourceClip:
-    """The treatment every scene event's clip gets: fit to the scene
-    duration, then RMS-normalize to CLIP_REFERENCE_DBFS."""
-    return normalize_rms(fit_duration(clip, duration_seconds))
 
 
 # Most decoded samples one ClipStore keeps; a file past the bound is decoded
@@ -277,12 +276,12 @@ def _unheaped(samples: np.ndarray) -> np.ndarray:
 
 
 class ClipStore:
-    """Clip files decoded once, prepared on every request.
+    """The one way a clip enters a scene: decoded once, prepared per request.
 
     Per file, keyed on (path, mtime, size), the store keeps ``_decode_clip``'s
     exact form of its samples, and per (file, duration) the RMS factor. A
     request for both costs one fresh float64 array and one multiply, and
-    gives ``prepare_clip(load_clip(path, label), duration)`` bit for bit:
+    gives ``normalize_rms(fit_duration(load_clip(...)))`` bit for bit:
     ``q * (factor * unit)`` rounds the exact product that ``(q * unit) *
     factor`` rounds, once, because ``unit`` is a power of two.
     """
@@ -295,12 +294,13 @@ class ClipStore:
     def prepared(self, path, label: str, duration_seconds: float) -> SourceClip:
         try:
             stat = os.stat(path)
-        except OSError:  # load_clip raises the error a bad path gets
-            return prepare_clip(load_clip(path, label), duration_seconds)
+        except (OSError, TypeError, ValueError):  # no file, or no path
+            _decode_clip(path)  # raises the package's error for a bad path
+            raise
         key = (str(path), stat.st_mtime_ns, stat.st_size)
         pcm = self._pcm.get(key)
         if pcm is None:
-            pcm = _decode_clip(path, label)
+            pcm = _decode_clip(path)
             if self.nbytes + pcm[0].nbytes <= _STORE_BYTES:
                 pcm = _unheaped(pcm[0]), pcm[1]
                 self._pcm[key] = pcm

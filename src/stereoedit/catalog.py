@@ -37,8 +37,8 @@ class Catalog:
 
     def prepared_clip(self, path, label: str,
                       duration_seconds: float) -> SourceClip:
-        """``prepare_clip(load_clip(path, label), duration_seconds)``, bit
-        for bit, from this catalog's store."""
+        """The clip at ``path``, fit to ``duration_seconds`` and
+        RMS-normalized, from this catalog's store."""
         return self._store.prepared(path, label, duration_seconds)
 
     @property

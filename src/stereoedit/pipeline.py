@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .audio import CANONICAL_SECONDS, load_clip, prepare_clip, scratch, write_wav
+from .audio import CANONICAL_SECONDS, ClipStore, scratch, write_wav
 from .catalog import Catalog, build_catalog
 from .designer import (DesignerConfig, DesignerMode, design_plan_llm,
                        design_plan_template)
@@ -156,15 +156,15 @@ def scene_to_json(scene: Scene) -> dict:
 
 
 def scene_from_json(data: dict) -> Scene:
-    """Rebuild a scene from its JSON description, re-ingesting clips with
-    the standard fit + RMS-normalize treatment.
+    """Rebuild a scene from its JSON description, taking each event's clip
+    from one ``ClipStore``, so a clip the scene repeats is decoded once.
 
     JSON admits NaN and Infinity, so the duration must be finite, and each
     gain finite with a linear factor ``10 ** (gain_db / 20)`` that is too."""
     duration = float(data.get("duration_seconds", CANONICAL_SECONDS))
     if not 0 < duration < math.inf:
         raise ValueError("duration_seconds must be positive and finite")
-    events = []
+    store, events = ClipStore(), []
     for i, ev in enumerate(data["events"]):
         gain_db = float(ev["gain_db"])
         if not (math.isfinite(gain_db)
@@ -173,7 +173,7 @@ def scene_from_json(data: dict) -> Scene:
         events.append(EventSpec(
             event_id=str(ev.get("event_id", f"e{i}")),
             label=str(ev["label"]),
-            clip=prepare_clip(load_clip(ev["clip_path"], ev["label"]), duration),
+            clip=store.prepared(ev["clip_path"], ev["label"], duration),
             direction=Direction.from_text(ev["direction"]),
             gain_db=gain_db))
     return Scene(tuple(events), duration)

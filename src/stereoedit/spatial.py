@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import CANONICAL_SECONDS, SAMPLE_RATE, AudioBuffer, SourceClip
+from .errors import UnsupportedFormat
 
 HEAD_RADIUS_M = 0.0875
 SPEED_OF_SOUND_M_S = 343.0
@@ -141,7 +142,8 @@ def render_scene(scene: Scene, out: np.ndarray | None = None) -> AudioBuffer:
     Renders into ``out``, a float64 (2, n) array, when one is given. Each
     event is scaled a block at a time into one small temporary and added to
     the output, so the sums are those of adding whole spatialize() renders
-    in event order, bit for bit, without any of them being allocated.
+    in event order, bit for bit, without any of them being allocated. A
+    mix that overflows float64 raises UnsupportedFormat.
     """
     n = scene.num_samples
     if out is None:
@@ -169,4 +171,7 @@ def render_scene(scene: Scene, out: np.ndarray | None = None) -> AudioBuffer:
                     tmp = product[: stop - lo]
                     np.multiply(x[lo - d: stop - d], gain, out=tmp)
                     acc[lo - start:] += tmp
-    return AudioBuffer(out)
+    try:
+        return AudioBuffer(out)
+    except ValueError as exc:  # the shape is right, so the mix overflowed
+        raise UnsupportedFormat("scene render overflows float64") from exc

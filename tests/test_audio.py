@@ -145,7 +145,8 @@ def test_load_clip_rejects_a_downmix_that_overflows(tmp_path):
     # finite float64 samples whose channel sum is not
     path = tmp_path / "huge.wav"
     wavfile.write(path, SAMPLE_RATE, np.full((100, 2), 1.7e308))
-    with (pytest.raises(ValueError, match="finite"),
+    with (pytest.raises(UnsupportedFormat,
+                        match="huge.wav: samples must be finite"),
           pytest.warns(RuntimeWarning, match="overflow")):
         load_clip(path, "x")
 

@@ -12,9 +12,11 @@ import pytest
 from scipy.io import wavfile
 
 from stereoedit import cli
-from stereoedit.audio import AudioBuffer, read_stereo, read_wav, write_wav
+from stereoedit.audio import (AudioBuffer, fit_duration, load_clip,
+                              normalize_rms, read_stereo, read_wav, write_wav)
 from stereoedit.catalog import build_catalog
 from stereoedit.cli import main
+from stereoedit.errors import StereoEditError
 from stereoedit.pipeline import (MANIFEST_NAME, PipelineConfig, read_manifest,
                                  run_pipeline, sample_scene, scene_from_json,
                                  scene_to_json)
@@ -543,11 +545,21 @@ def test_eval_reports_the_first_failing_pair_at_any_width(
     assert message in errors[0] and first_failure in errors[0]
 
 
+def _write_cut_header(path):
+    path.write_bytes(b"RIFF\x00\x01")
+
+
+def _write_text(path):
+    path.write_bytes(b"not a wav file at all")
+
+
 @pytest.mark.parametrize("write_clip,code", [
     (None, 3),               # the clip file is missing
     (_write_silent_wav, 4),  # the clip is all zeros
+    (_write_cut_header, 3),
+    (_write_text, 2),
 ])
-def test_scene_clip_errors_keep_their_exit_code(scene_file, tmp_path,
+def test_scene_clip_errors_keep_their_exit_code(scene_file, tmp_path, capsys,
                                                 write_clip, code):
     clip = tmp_path / "clip.wav"
     if write_clip:
@@ -556,7 +568,12 @@ def test_scene_clip_errors_keep_their_exit_code(scene_file, tmp_path,
     data["events"][0]["clip_path"] = str(clip)
     scene = tmp_path / "clip_scene.json"
     scene.write_text(json.dumps(data))
+    with pytest.raises(StereoEditError) as want:  # a fresh decode, fit, RMS
+        normalize_rms(fit_duration(load_clip(clip, data["events"][0]["label"]),
+                                   data["duration_seconds"]))
     assert main(["render", str(scene), str(tmp_path / "o.wav")]) == code
+    assert want.value.exit_code == code
+    assert capsys.readouterr().err == f"error: {want.value}\n"
 
 
 @pytest.mark.parametrize("content", [b"[1]", b'{"events": [1]}', b"\xff\xfe"])
@@ -733,6 +750,29 @@ def test_render_that_overflows_float32_writes_nothing(scene_file, tmp_path,
                      str(tmp_path / "out")]}[command]
     assert main(args) == 2
     assert "samples overflow float32" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*.wav")) == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["render", "edit"])
+def test_render_that_overflows_float64_writes_nothing(scene_file, tmp_path,
+                                                      capsys, command):
+    data = json.loads(scene_file.read_text())
+    first = {**data["events"][0], "direction": "front", "gain_db": 0.0}
+    peak = render_scene(scene_from_json({**data, "events": [first]})).peak()
+    # each copy is finite, at 10 ** 308 times that peak, and their sum is not
+    copies = math.floor(float(np.finfo(np.float64).max) / 1e308 / peak) + 1
+    data["events"] += [{**first, "event_id": f"x{i}", "label": f"loud {i}",
+                        "gain_db": 6160.0} for i in range(copies)]
+    scene_file.write_text(json.dumps(data))
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"Turn down the sound of {first['label']} by 1 dB\n")
+    args = {"render": ["render", str(scene_file), str(tmp_path / "o.wav")],
+            "edit": ["--seed", "1", "edit", str(scene_file), str(plan),
+                     str(tmp_path / "out")]}[command]
+    assert main(args) == 2
+    assert "scene render overflows float64" in capsys.readouterr().err
     assert list(tmp_path.rglob("*.wav")) == []
     assert not (tmp_path / "out").exists()
 

@@ -17,8 +17,8 @@ from scipy.io import wavfile
 
 import stereoedit.audio as audio
 import stereoedit.pipeline as pl
-from stereoedit.audio import (SAMPLE_RATE, ClipStore, load_clip, prepare_clip,
-                              read_wav)
+from stereoedit.audio import (SAMPLE_RATE, ClipStore, fit_duration, load_clip,
+                              normalize_rms, read_wav)
 from stereoedit.catalog import build_catalog
 from stereoedit.errors import SilentClip, StereoEditError
 from stereoedit.pipeline import (MANIFEST_NAME, PipelineConfig,
@@ -36,6 +36,12 @@ def _samples(dtype, frames, channels, seed):
     data = (rng.standard_normal(shape) * 0.3).astype(dtype)
     data.flat[0] = -0.0  # a sign only a float file keeps
     return data
+
+
+def prepare_clip(path, duration):
+    """The store's reference: a fresh decode, fit to the duration, then
+    RMS normalization."""
+    return normalize_rms(fit_duration(load_clip(path, "x"), duration))
 
 
 def _same(got, want):
@@ -63,7 +69,7 @@ def test_store_gives_prepare_clip_bit_for_bit(dtype, channels, rate,
                     == read_wav(path)[1].tobytes())
         store = ClipStore()
         for duration in [*durations, *durations]:  # a first and second request
-            want = prepare_clip(load_clip(path, "x"), duration)
+            want = prepare_clip(path, duration)
             _same(store.prepared(path, "x", duration), want)
             _same(store.prepared(str(path), "x", duration), want)
 
@@ -83,6 +89,16 @@ def test_store_raises_what_load_clip_raises(tmp_path, content):
         with pytest.raises(type(want.value)) as got:
             ClipStore().prepared(path, "x", 0.1)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("path", [None, 1.5, ["a"], "a\0b"])
+def test_store_raises_what_load_clip_raises_on_a_bad_path(path):
+    # a scene file can give any JSON value as a clip path
+    with pytest.raises(StereoEditError) as want:
+        load_clip(path, "x")
+    with pytest.raises(type(want.value)) as got:
+        ClipStore().prepared(path, "x", 0.1)
+    assert str(got.value) == str(want.value)
 
 
 def test_store_raises_on_a_silent_clip_every_time(tmp_path):
@@ -118,7 +134,7 @@ def test_a_rewritten_clip_is_read_again(tmp_path):
 
     def check():
         _same(store.prepared(path, "x", 0.1),
-              prepare_clip(load_clip(path, "x"), 0.1))
+              prepare_clip(path, 0.1))
 
     wavfile.write(path, SAMPLE_RATE, _samples(np.int16, 2400, 1, 0))
     check()

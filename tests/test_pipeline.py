@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 import tempfile
 import threading
 import tracemalloc
@@ -9,8 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
+import stereoedit.audio as audio
 from stereoedit.audio import SAMPLE_RATE, read_wav
+from stereoedit.catalog import build_catalog
 from stereoedit.designer import DesignerConfig, DesignerMode
 from stereoedit.errors import (FailureBudgetExceeded, OutputDirNotWritable,
                                ValidationFailed)
@@ -68,6 +73,23 @@ def test_scene_json_roundtrip(catalog):
         assert (a.event_id, a.label, a.direction, a.gain_db) == \
             (b.event_id, b.label, b.direction, b.gain_db)
         np.testing.assert_array_equal(a.clip.samples, b.clip.samples)
+
+
+def test_scene_from_json_decodes_a_repeated_clip_once(catalog, monkeypatch):
+    data = scene_to_json(sample_scene(catalog, random.Random(5), 2, 2, 1.0))
+    first = data["events"][0]
+    data["events"].append({**first, "event_id": "e9", "label": "again",
+                           "direction": "left", "gain_db": -3.0})
+    decoded = []
+    read_pcm = audio._read_pcm
+    monkeypatch.setattr(audio, "_read_pcm",
+                        lambda path: decoded.append(path) or read_pcm(path))
+    scene = scene_from_json(data)
+    assert sorted(decoded) == sorted({e["clip_path"] for e in data["events"]})
+    assert len(decoded) == 2
+    again = scene.events[2].clip
+    assert (again.label, again.origin_path) == ("again", first["clip_path"])
+    assert again.samples.tobytes() == scene.events[0].clip.samples.tobytes()
 
 
 def test_build_trajectory_deterministic(catalog, tmp_path):
@@ -210,6 +232,20 @@ def test_run_pipeline_programming_error_is_not_budgeted(catalog, tmp_path,
     with pytest.raises(RuntimeError, match="bug"):
         run_pipeline(cfg, catalog=catalog)
     assert not (tmp_path / MANIFEST_NAME).exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_run_pipeline_budgets_a_clip_whose_downmix_overflows(catalog_root,
+                                                             tmp_path):
+    root = shutil.copytree(catalog_root, tmp_path / "catalog")
+    for path in (root / "bell_ring").iterdir():  # finite, but not its mean
+        wavfile.write(path, SAMPLE_RATE, np.full((2400, 2), 1.7e308))
+    cfg = PipelineConfig(record_count=10, output_dir=str(tmp_path / "out"),
+                         seed=0, duration_seconds=1.0, failure_budget=20)
+    stats = run_pipeline(cfg, catalog=build_catalog(root))
+    assert stats.succeeded == 10 and stats.failed >= 1
+    pattern = r"UnsupportedFormat: .*bell_ring/clip_\d\.wav: samples must be finite"
+    assert all(re.fullmatch(pattern, text) for _, text in stats.failures)
 
 
 def test_canonical_manifest_ignores_timestamp(catalog, tmp_path):
