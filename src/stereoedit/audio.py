@@ -12,7 +12,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isfinite
 
 import numpy as np
 from scipy.io import wavfile
@@ -207,11 +207,12 @@ def _decode_clip(path) -> tuple[np.ndarray, float]:
     data = _as_float(path, data)  # finite
     if data.ndim == 1 and rate == SAMPLE_RATE:
         return data, 1.0
-    if data.ndim == 2:
-        if data.shape[1] > 2:
-            raise UnsupportedFormat(f"{path}: more than 2 channels")
-        data = data.mean(axis=1)
-    samples = resample(data, rate, SAMPLE_RATE)
+    if data.ndim == 2 and data.shape[1] > 2:
+        raise UnsupportedFormat(f"{path}: more than 2 channels")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if data.ndim == 2:
+            data = data.mean(axis=1)
+        samples = resample(data, rate, SAMPLE_RATE)
     if not np.isfinite(samples).all():  # the downmix or resampler overflowed
         raise UnsupportedFormat(f"{path}: samples must be finite")
     return samples, 1.0
@@ -244,9 +245,12 @@ def fit_duration(clip: SourceClip, target_seconds: float = CANONICAL_SECONDS) ->
 
 def _rms_factor(clip: SourceClip) -> float:
     """The factor that brings the clip's RMS level to CLIP_REFERENCE_DBFS."""
-    rms = clip.rms()
+    with np.errstate(over="ignore"):  # checked below
+        rms = clip.rms()
     if rms == 0.0:
         raise SilentClip(f"all-zero clip: {clip.label!r}")
+    if not isfinite(rms):  # finite samples whose squares overflow
+        raise UnsupportedFormat(f"{clip.origin_path}: RMS overflows float64")
     return 10.0 ** (CLIP_REFERENCE_DBFS / 20.0) / rms
 
 

@@ -287,12 +287,6 @@ def _build_payload(config: DesignerConfig, system_text: str,
     return payload
 
 
-def _single_request_text(scene_labels) -> str:
-    return ("Sound sources:\n"
-            + json.dumps(list(scene_labels))
-            + "\nReturn exactly one JSON object in the specified format.")
-
-
 def _batch_request_text(batch) -> str:
     return ("Here are {} sets of sound sources:\n{}\n"
             "Return a JSON array with exactly one output object per set, "
@@ -301,22 +295,25 @@ def _batch_request_text(batch) -> str:
 
 
 def _parse_content(content: str, count: int) -> list:
-    """A response's plan objects: one JSON value, or an array of ``count``."""
+    """A response's plans: a JSON array of ``count``, or for one scene also
+    the bare plan object that the base prompt asks for."""
     try:
         data = json.loads(strip_markdown_fence(content).strip())
     except (TypeError, RecursionError, json.JSONDecodeError) as exc:
         # not text, nested too deep to parse, or not JSON
         raise MalformedResponse(f"response is not JSON: {exc}") from exc
-    if count == 1:
-        return [data]
+    if count == 1 and isinstance(data, dict):
+        data = [data]
     if not isinstance(data, list) or len(data) != count:
         raise MalformedResponse(f"expected a JSON array of {count} plans")
     return data
 
 
 def _plan_from_obj(obj, scene_labels) -> EditPlan:
+    if not isinstance(obj, dict):
+        raise MalformedResponse("plan must be a JSON object")
     try:
-        plan = parse_plan_json(json.dumps(obj))
+        plan = parse_plan_json(obj)
     except (JsonSyntaxError, SchemaError) as exc:
         raise MalformedResponse(f"plan does not match schema: {exc}") from exc
     validate_plan(plan, scene_labels).raise_if_invalid()
@@ -348,8 +345,7 @@ def design_plan_llm(scene_labels_batch, config: DesignerConfig,
 
     def request(chunk):
         """Request the scenes at indices ``chunk``; store each plan or error."""
-        text = (_single_request_text(batch[chunk[0]]) if len(chunk) == 1
-                else _batch_request_text([batch[i] for i in chunk]))
+        text = _batch_request_text([batch[i] for i in chunk])
         try:
             objs = _parse_content(
                 transport(_build_payload(config, prompt, text)), len(chunk))

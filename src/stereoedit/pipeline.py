@@ -160,18 +160,23 @@ def scene_from_json(data: dict) -> Scene:
     from one ``ClipStore``, so a clip the scene repeats is decoded once.
 
     JSON admits NaN and Infinity, so the duration must be finite, and each
-    gain finite with a linear factor ``10 ** (gain_db / 20)`` that is too."""
+    gain finite with a linear factor ``10 ** (gain_db / 20)`` that is too.
+    A clip path must be a string: ``os.stat`` and ``wavfile.read`` take an
+    int as an open file descriptor."""
     duration = float(data.get("duration_seconds", CANONICAL_SECONDS))
     if not 0 < duration < math.inf:
         raise ValueError("duration_seconds must be positive and finite")
     store, events = ClipStore(), []
     for i, ev in enumerate(data["events"]):
+        event_id = str(ev.get("event_id", f"e{i}"))
         gain_db = float(ev["gain_db"])
         if not (math.isfinite(gain_db)
                 and gain_db / 20 <= sys.float_info.max_10_exp):
             raise ValueError(f"gain_db {gain_db} has no finite linear factor")
+        if not isinstance(ev["clip_path"], str):
+            raise ValueError(f"event {event_id}: clip_path must be a string")
         events.append(EventSpec(
-            event_id=str(ev.get("event_id", f"e{i}")),
+            event_id=event_id,
             label=str(ev["label"]),
             clip=store.prepared(ev["clip_path"], ev["label"], duration),
             direction=Direction.from_text(ev["direction"]),

@@ -301,9 +301,7 @@ def parse_plan_json(data) -> EditPlan:
         raise JsonSyntaxError(str(exc)) from exc
 
     if isinstance(data, list):
-        steps = tuple(_step_from_json(s, i) for i, s in enumerate(data))
-        return EditPlan(instruction="", sound_sources=(), steps=steps)
-
+        data = {"atomic editing steps": data}
     if not isinstance(data, dict):
         raise SchemaError("plan JSON must be an object or a list of steps")
 

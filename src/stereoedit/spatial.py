@@ -157,20 +157,21 @@ def render_scene(scene: Scene, out: np.ndarray | None = None) -> AudioBuffer:
                              f"{len(e.clip.samples)} samples, scene {n}")
         events.append((e.clip.samples, _cues(e.direction, e.gain_db)))
     product = np.empty(min(n, _BLOCK))
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        for ch in (0, 1):
-            acc = out[ch, start:stop]
-            acc.fill(0.0)
-            for x, cues in events:
-                gain, d = cues[ch]
-                # skipping a delayed channel's zero head is exact: a sum
-                # that starts at +0.0 is never -0.0, so +0.0 changes nothing
-                lo = max(start, d)
-                if lo < stop:
-                    tmp = product[: stop - lo]
-                    np.multiply(x[lo - d: stop - d], gain, out=tmp)
-                    acc[lo - start:] += tmp
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            for ch in (0, 1):
+                acc = out[ch, start:stop]
+                acc.fill(0.0)
+                for x, cues in events:
+                    gain, d = cues[ch]
+                    # skipping a delayed channel's zero head is exact: a sum
+                    # from +0.0 is never -0.0, so +0.0 changes nothing
+                    lo = max(start, d)
+                    if lo < stop:
+                        tmp = product[: stop - lo]
+                        np.multiply(x[lo - d: stop - d], gain, out=tmp)
+                        acc[lo - start:] += tmp
     try:
         return AudioBuffer(out)
     except ValueError as exc:  # the shape is right, so the mix overflowed

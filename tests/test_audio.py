@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -147,8 +148,21 @@ def test_load_clip_rejects_a_downmix_that_overflows(tmp_path):
     wavfile.write(path, SAMPLE_RATE, np.full((100, 2), 1.7e308))
     with (pytest.raises(UnsupportedFormat,
                         match="huge.wav: samples must be finite"),
-          pytest.warns(RuntimeWarning, match="overflow")):
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")  # and no numpy overflow warning
         load_clip(path, "x")
+
+
+def test_load_clip_reference_rejects_an_rms_that_overflows(tmp_path):
+    # finite float64 samples whose squares are not: the RMS factor would be 0
+    path = tmp_path / "loud.wav"
+    wavfile.write(path, SAMPLE_RATE, np.sin(np.arange(2400) / 7.0) * 1e200)
+    clip = fit_duration(load_clip(path, "x"), 0.1)
+    with (pytest.raises(UnsupportedFormat,
+                        match="loud.wav: RMS overflows float64"),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")
+        normalize_rms(clip)
 
 
 def test_native_clip_ingest_scans_no_sample(tmp_path, monkeypatch):

@@ -3,9 +3,12 @@ import hashlib
 import json
 import logging
 import math
+import os
 import random
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -576,6 +579,28 @@ def test_scene_clip_errors_keep_their_exit_code(scene_file, tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {want.value}\n"
 
 
+@pytest.mark.parametrize("clip_path", [0, True, 12345678, 1.5, None, ["a"], {}])
+def test_scene_clip_path_that_is_not_a_string_is_schema_error(
+        scene_file, tmp_path, capsys, clip_path):
+    # os.stat and wavfile.read take an int as an open file descriptor
+    data = json.loads(scene_file.read_text())
+    data["events"][0]["clip_path"] = clip_path
+    scene_file.write_text(json.dumps(data))
+    args = ["render", str(scene_file), str(tmp_path / "o.wav")]
+    if clip_path in (0, 1):  # this process's stdin or stdout
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "stereoedit.cli", *args],
+                              stdin=subprocess.DEVNULL, capture_output=True,
+                              text=True, env=env, timeout=120)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = main(args), capsys.readouterr().err
+    assert code == 2
+    event_id = data["events"][0]["event_id"]
+    assert f"event {event_id}: clip_path must be a string" in err
+    assert list(tmp_path.rglob("*.wav")) == []
+
+
 @pytest.mark.parametrize("content", [b"[1]", b'{"events": [1]}', b"\xff\xfe"])
 def test_scene_file_that_is_not_a_scene_is_schema_error(tmp_path, capsys,
                                                         content):
@@ -754,7 +779,6 @@ def test_render_that_overflows_float32_writes_nothing(scene_file, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("command", ["render", "edit"])
 def test_render_that_overflows_float64_writes_nothing(scene_file, tmp_path,
                                                       capsys, command):

@@ -6,6 +6,7 @@ import pickle
 import random
 import tempfile
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import stereoedit.pipeline as pl
 from stereoedit.audio import (SAMPLE_RATE, ClipStore, fit_duration, load_clip,
                               normalize_rms, read_wav)
 from stereoedit.catalog import build_catalog
-from stereoedit.errors import SilentClip, StereoEditError
+from stereoedit.errors import SilentClip, StereoEditError, UnsupportedFormat
 from stereoedit.pipeline import (MANIFEST_NAME, PipelineConfig,
                                  canonical_manifest_bytes, run_pipeline,
                                  sample_scene)
@@ -99,6 +100,19 @@ def test_store_raises_what_load_clip_raises_on_a_bad_path(path):
     with pytest.raises(type(want.value)) as got:
         ClipStore().prepared(path, "x", 0.1)
     assert str(got.value) == str(want.value)
+
+
+def test_store_raises_on_an_rms_that_overflows(tmp_path):
+    # finite float64 samples whose squares are not: the clip is not zeroed
+    path = tmp_path / "loud.wav"
+    wavfile.write(path, SAMPLE_RATE, np.sin(np.arange(2400) / 7.0) * 1e200)
+    store = ClipStore()
+    for _ in range(2):
+        with (pytest.raises(UnsupportedFormat,
+                            match="loud.wav: RMS overflows float64"),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
+            store.prepared(path, "x", 0.1)
 
 
 def test_store_raises_on_a_silent_clip_every_time(tmp_path):

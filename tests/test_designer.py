@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from stereoedit.demo import DEMO_LABELS
 from stereoedit.designer import (BUILTIN_THEMES, DesignerConfig, DesignerMode,
-                                 base_prompt, design_plan_llm,
-                                 design_plan_template, strip_markdown_fence)
+                                 _batch_request_text, base_prompt,
+                                 design_plan_llm, design_plan_template,
+                                 strip_markdown_fence)
 from stereoedit.errors import (AuthFailure, EndpointUnreachable,
                                MalformedResponse, NoCompatibleScenario,
                                ValidationFailed)
@@ -177,6 +178,52 @@ def test_llm_wrong_batch_count_is_retried():
     result = design_plan_llm([LABELS, LABELS], _config(), transport=transport)
     assert not result.failures
     assert len(calls) == 3  # batch + 2 individual retries
+
+
+def test_llm_one_scene_reply_may_be_an_array_of_one():
+    result = design_plan_llm([LABELS], _config(max_retries=0),
+                             transport=lambda p: json.dumps([VALID_PLAN]))
+    assert not result.failures
+    assert result.plans[0].instruction == "Make this a garden afternoon"
+
+
+@pytest.mark.parametrize("scenes,reply", [
+    (1, VALID_PLAN["atomic editing steps"]),
+    (2, [VALID_PLAN, VALID_PLAN["atomic editing steps"]]),
+])
+def test_llm_reply_plan_that_is_a_step_list_is_malformed(scenes, reply):
+    result = design_plan_llm([LABELS] * scenes, _config(max_retries=0),
+                             transport=lambda p: json.dumps(reply))
+    assert list(result.failures) == [scenes - 1]
+    assert isinstance(result.failures[scenes - 1], MalformedResponse)
+
+
+@pytest.mark.parametrize("scenes", [1, 2])
+def test_llm_reply_plan_that_is_json_text_is_malformed(scenes):
+    # the text of a plan, not a plan object, stays a malformed reply
+    plans = [VALID_PLAN] * (scenes - 1) + [json.dumps(VALID_PLAN)]
+    result = design_plan_llm([LABELS] * scenes, _config(max_retries=0),
+                             transport=lambda p: json.dumps(plans))
+    assert list(result.failures) == [scenes - 1]
+    assert isinstance(result.failures[scenes - 1], MalformedResponse)
+
+
+def test_llm_every_request_is_a_batch_request():
+    batch = [LABELS, ["rain", "thunder"], ["wind", "rain"]]
+    texts = []
+
+    def transport(payload):
+        texts.append(payload["messages"][1]["content"])
+        if len(texts) == 1:  # scenes 0 and 1: the second plan is invalid
+            return json.dumps([VALID_PLAN, INVALID_PLAN])
+        return json.dumps(INVALID_PLAN)  # scene 2, then every retry
+
+    result = design_plan_llm(batch, _config(batch_size=2, max_retries=1),
+                             transport=transport)
+    assert list(result.failures) == [1, 2]
+    chunks = [[0, 1], [2], [1], [2]]  # two first passes, then the retries
+    assert texts == [_batch_request_text([batch[i] for i in chunk])
+                     for chunk in chunks]
 
 
 def test_llm_endpoint_errors_propagate():

@@ -234,7 +234,6 @@ def test_run_pipeline_programming_error_is_not_budgeted(catalog, tmp_path,
     assert not (tmp_path / MANIFEST_NAME).exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_pipeline_budgets_a_clip_whose_downmix_overflows(catalog_root,
                                                              tmp_path):
     root = shutil.copytree(catalog_root, tmp_path / "catalog")
@@ -245,6 +244,19 @@ def test_run_pipeline_budgets_a_clip_whose_downmix_overflows(catalog_root,
     stats = run_pipeline(cfg, catalog=build_catalog(root))
     assert stats.succeeded == 10 and stats.failed >= 1
     pattern = r"UnsupportedFormat: .*bell_ring/clip_\d\.wav: samples must be finite"
+    assert all(re.fullmatch(pattern, text) for _, text in stats.failures)
+
+
+def test_run_pipeline_budgets_a_clip_whose_rms_overflows(catalog_root,
+                                                         tmp_path):
+    root = shutil.copytree(catalog_root, tmp_path / "catalog")
+    for path in (root / "bell_ring").iterdir():  # finite, but not its squares
+        wavfile.write(path, SAMPLE_RATE, np.sin(np.arange(2400) / 7.0) * 1e200)
+    cfg = PipelineConfig(record_count=10, output_dir=str(tmp_path / "out"),
+                         seed=0, duration_seconds=1.0, failure_budget=20)
+    stats = run_pipeline(cfg, catalog=build_catalog(root))
+    assert stats.succeeded == 10 and stats.failed >= 1
+    pattern = r"UnsupportedFormat: .*bell_ring/clip_\d\.wav: RMS overflows float64"
     assert all(re.fullmatch(pattern, text) for _, text in stats.failures)
 
 
@@ -412,7 +424,8 @@ def test_run_pipeline_llm_designer(catalog, tmp_path, monkeypatch):
     asked = []
 
     def transport(payload):
-        labels = json.loads(payload["messages"][1]["content"].splitlines()[1])
+        text = payload["messages"][1]["content"]
+        labels = json.loads(text.splitlines()[1])[0]  # a batch of one scene
         asked.append(labels)
         # the first scene always gets a plan that removes every source
         targets = labels if labels == asked[0] else labels[:1]

@@ -182,6 +182,15 @@ def test_parse_plan_json_unknown_keys_warn():
     assert any("extra" in w for w in plan.warnings)
 
 
+def test_parse_plan_json_bare_step_list_is_the_object_form():
+    steps = [{"operation": "remove", "target": "rain", "effect": "None",
+              "extra": 1}]
+    bare = parse_plan_json(json.dumps(steps))
+    assert bare == parse_plan_json({"atomic editing steps": steps})
+    assert bare.warnings == ("step 0: ignored unknown key 'extra'",)
+    assert (bare.instruction, bare.sound_sources) == ("", ())
+
+
 def test_parse_plan_json_placeholder_add_target():
     with pytest.raises(SchemaError):
         parse_plan_json(json.dumps([
