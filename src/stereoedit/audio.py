@@ -231,7 +231,9 @@ def load_clip(path, label: str) -> SourceClip:
 
 
 def fit_duration(clip: SourceClip, target_seconds: float = CANONICAL_SECONDS) -> SourceClip:
-    """Trim (front-aligned) or zero-pad (trailing) to exactly the target length."""
+    """Trim (front-aligned) or zero-pad (trailing) to exactly the target
+    length. Kept for the benchmark's tracer and as the tests' reference, as
+    ``load_clip`` is: ``ClipStore`` fits clips in the array it returns."""
     if target_seconds <= 0:
         raise ValueError("target_seconds must be positive")
     n = round(target_seconds * SAMPLE_RATE)
@@ -284,10 +286,12 @@ class ClipStore:
 
     Per file, keyed on (path, mtime, size), the store keeps ``_decode_clip``'s
     exact form of its samples, and per (file, duration) the RMS factor. A
-    request for both costs one fresh float64 array and one multiply, and
-    gives ``normalize_rms(fit_duration(load_clip(...)))`` bit for bit:
-    ``q * (factor * unit)`` rounds the exact product that ``(q * unit) *
-    factor`` rounds, once, because ``unit`` is a power of two.
+    request for both costs one fresh float64 array and one multiply. A
+    request without the factor fits the clip in that array, takes the
+    factor from it and scales it there. Both give
+    ``normalize_rms(fit_duration(load_clip(...)))`` bit for bit: ``q *
+    (factor * unit)`` rounds the exact product that ``(q * unit) * factor``
+    rounds, once, because ``unit`` is a power of two.
     """
 
     def __init__(self):
@@ -310,18 +314,21 @@ class ClipStore:
                 self._pcm[key] = pcm
                 self.nbytes += pcm[0].nbytes
         samples, unit = pcm
-        factor = self._factors.get((key, duration_seconds))
-        if factor is None:
-            decoded = _clip(label, samples * unit, key[0])
-            factor = _rms_factor(fit_duration(decoded, duration_seconds))
-            if key in self._pcm:
-                self._factors[key, duration_seconds] = factor
         n = round(duration_seconds * SAMPLE_RATE)
         m = min(len(samples), n)
         out = np.empty(n)
-        # an exact cast, then the multiply in place: np.multiply would cast
+        # an exact cast, then the multiplies in place: np.multiply would cast
         # through a 64 KiB buffer of its own
         out[:m] = samples[:m]
-        out[:m] *= factor * unit
         out[m:] = 0.0
-        return _clip(label, out, key[0])
+        clip = _clip(label, out, key[0])
+        factor = self._factors.get((key, duration_seconds))
+        if factor is None:  # fit the clip in ``out``, then normalize it there
+            out[:m] *= unit
+            factor = _rms_factor(clip)
+            if key in self._pcm:
+                self._factors[key, duration_seconds] = factor
+            out[:m] *= factor
+        else:
+            out[:m] *= factor * unit
+        return clip

@@ -28,7 +28,8 @@ class Catalog:
 
     entries: dict[str, tuple[str, ...]]
     # The clips this object has ingested. A copy or a pickle carries the
-    # entries only, so tasks stay small and a run can drop its store.
+    # entries only, so tasks stay small and a run can drop its store; a
+    # pool worker's task carries one copy for its whole share of a round.
     _store: ClipStore = field(default_factory=ClipStore, init=False,
                               repr=False, compare=False)
 

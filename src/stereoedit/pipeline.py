@@ -276,17 +276,24 @@ def process_map(width: int, caller_shares: bool = False):
 
     The pool has ``width`` workers, or, with ``caller_shares``, ``width - 1``
     that run the first items while this process runs the last
-    ``1 / width`` of them. That saves a fork but balances only items of
-    about equal cost; the pool alone hands each item to the next free
-    worker. Either way the first failing item in submission order is the
-    one that raises."""
+    ``1 / width`` of them. That saves a fork. The pool alone sends each
+    worker a contiguous ``1 / width`` of the items as one task, so an
+    object the items share is unpickled once per worker, and its caches
+    serve the whole share. Both balance only items of about equal cost.
+    Either way the first failing item in submission order is the one that
+    raises."""
     if width <= 1:
         yield map
         return
     with ProcessPoolExecutor(
             max_workers=width - 1 if caller_shares else width) as pool:
         if not caller_shares:
-            yield pool.map
+            def chunked_map(fn, items):
+                items = list(items)
+                return pool.map(fn, items,
+                                chunksize=max(1, math.ceil(len(items) / width)))
+
+            yield chunked_map
             return
 
         def shared_map(fn, items):

@@ -102,7 +102,7 @@ def test_store_raises_what_load_clip_raises_on_a_bad_path(path):
     assert str(got.value) == str(want.value)
 
 
-def test_store_raises_on_an_rms_that_overflows(tmp_path):
+def _raises_on_an_rms_that_overflows(tmp_path):
     # finite float64 samples whose squares are not: the clip is not zeroed
     path = tmp_path / "loud.wav"
     wavfile.write(path, SAMPLE_RATE, np.sin(np.arange(2400) / 7.0) * 1e200)
@@ -115,7 +115,7 @@ def test_store_raises_on_an_rms_that_overflows(tmp_path):
             store.prepared(path, "x", 0.1)
 
 
-def test_store_raises_on_a_silent_clip_every_time(tmp_path):
+def _raises_on_a_silent_clip_every_time(tmp_path):
     path = tmp_path / "quiet.wav"
     wavfile.write(path, SAMPLE_RATE, np.zeros(2400, dtype=np.int16))
     store = ClipStore()
@@ -124,13 +124,56 @@ def test_store_raises_on_a_silent_clip_every_time(tmp_path):
             store.prepared(path, "x", 0.1)
 
 
-@pytest.mark.parametrize("clip_seconds", [12.0, 6.0])  # trimmed, padded
-def test_a_second_request_allocates_one_clip(tmp_path, clip_seconds):
+def test_store_raises_on_an_rms_that_overflows(tmp_path):
+    _raises_on_an_rms_that_overflows(tmp_path)
+
+
+def test_store_raises_on_a_silent_clip_every_time(tmp_path):
+    _raises_on_a_silent_clip_every_time(tmp_path)
+
+
+@pytest.mark.parametrize("check", [_raises_on_an_rms_that_overflows,
+                                   _raises_on_a_silent_clip_every_time])
+def test_a_store_past_its_bound_raises_the_same(tmp_path, monkeypatch,
+                                                check):
+    monkeypatch.setattr(audio, "_STORE_BYTES", 0)
+    check(tmp_path)
+
+
+@pytest.mark.parametrize("dtype,channels,rate", [
+    (np.int16, 1, SAMPLE_RATE), (np.int32, 1, SAMPLE_RATE),
+    (np.float32, 1, SAMPLE_RATE), (np.int16, 2, SAMPLE_RATE),
+    (np.int16, 1, 16000)])
+@pytest.mark.parametrize("clip_seconds", [0.05, 0.2])  # shorter, longer
+def test_a_store_past_its_bound_prepares_every_request_exactly(
+        tmp_path, monkeypatch, dtype, channels, rate, clip_seconds):
+    """The store holds a small clip that fills its bound, so every request
+    for the file under test decodes it again and takes a fresh factor."""
+    small = tmp_path / "small.wav"
+    wavfile.write(small, SAMPLE_RATE, _samples(np.int16, 240, 1, 1))
+    monkeypatch.setattr(audio, "_STORE_BYTES", 480)
+    store = ClipStore()
+    store.prepared(small, "x", 0.1)
+    path = tmp_path / "c.wav"
+    wavfile.write(path, rate, _samples(dtype, round(clip_seconds * rate),
+                                       channels, 0))
+    for duration in [0.1, 0.15, 0.1, 0.15]:
+        _same(store.prepared(path, "x", duration),
+              prepare_clip(path, duration))
+    assert [key[0] for key in store._pcm] == [str(small)]
+    assert [key[0][0] for key in store._factors] == [str(small)]
+    assert store.nbytes == 480
+
+
+def _traced_request(tmp_path, clip_seconds, requests_before):
+    """The traced peak of a 10 s request for an int16 clip, after
+    ``requests_before`` untraced ones, and the request's sample count."""
     path = tmp_path / "c.wav"
     wavfile.write(path, SAMPLE_RATE,
                   _samples(np.int16, round(clip_seconds * SAMPLE_RATE), 1, 0))
     store = ClipStore()
-    store.prepared(path, "x", 10.0)
+    for _ in range(requests_before):
+        store.prepared(path, "x", 10.0)
     tracemalloc.start()
     try:
         clip = store.prepared(path, "x", 10.0)
@@ -139,7 +182,22 @@ def test_a_second_request_allocates_one_clip(tmp_path, clip_seconds):
         tracemalloc.stop()
     n = len(clip.samples)
     assert n == 10 * SAMPLE_RATE
+    return peak, n
+
+
+@pytest.mark.parametrize("clip_seconds", [12.0, 6.0])  # trimmed, padded
+def test_a_second_request_allocates_one_clip(tmp_path, clip_seconds):
+    peak, n = _traced_request(tmp_path, clip_seconds, 1)
     assert peak <= 8 * n + 64 * 1024, peak
+
+
+@pytest.mark.parametrize("clip_seconds", [12.0, 8.0])  # trimmed, padded
+def test_a_first_request_allocates_one_clip_and_its_square(tmp_path,
+                                                           clip_seconds):
+    """A miss fits and normalizes the clip in the array it returns; the
+    RMS adds one square of that array."""
+    peak, n = _traced_request(tmp_path, clip_seconds, 0)
+    assert peak <= 2 * 8 * n + 64 * 1024, peak
 
 
 def test_a_rewritten_clip_is_read_again(tmp_path):

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import re
 import shutil
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -206,7 +208,7 @@ def test_run_pipeline_tops_up_after_failures(catalog, tmp_path, monkeypatch):
     assert all(r["index"] % 3 != 2 for r in rows)
 
 
-def test_run_pipeline_failure_budget(catalog, tmp_path, monkeypatch):
+def _check_failure_budget(catalog, tmp_path, monkeypatch, workers):
     import stereoedit.pipeline as pl
 
     def always_fail(cat, cfg, index):
@@ -214,24 +216,51 @@ def test_run_pipeline_failure_budget(catalog, tmp_path, monkeypatch):
 
     monkeypatch.setattr(pl, "build_trajectory", always_fail)
     cfg = PipelineConfig(record_count=5, output_dir=str(tmp_path), seed=0,
-                         failure_budget=2)
-    with pytest.raises(FailureBudgetExceeded):
+                         failure_budget=2, worker_count=workers)
+    with pytest.raises(FailureBudgetExceeded, match="3 failures exceed "
+                       "budget 2; last: record 2: ValidationFailed: nope"):
         run_pipeline(cfg, catalog=catalog)
+
+
+def test_run_pipeline_failure_budget(catalog, tmp_path, monkeypatch):
+    _check_failure_budget(catalog, tmp_path, monkeypatch, 1)
+
+
+def test_run_pipeline_failure_budget_at_2_workers(catalog, tmp_path,
+                                                  monkeypatch):
+    _check_failure_budget(catalog, tmp_path, monkeypatch, 2)
+
+
+def _check_programming_error(catalog, tmp_path, monkeypatch, workers):
+    """Indices 1 and 2 raise. At 2 workers they fall in different shares,
+    and index 2's, the first item of its share, can fail first; index 1's
+    error must still be the one raised."""
+    import stereoedit.pipeline as pl
+
+    original = pl.build_trajectory
+
+    def broken(cat, cfg, index):
+        if index in (1, 2):
+            raise RuntimeError(f"bug at {index}")
+        return original(cat, cfg, index)
+
+    monkeypatch.setattr(pl, "build_trajectory", broken)
+    cfg = PipelineConfig(record_count=4, output_dir=str(tmp_path), seed=0,
+                         duration_seconds=1.0, failure_budget=10,
+                         worker_count=workers)
+    with pytest.raises(RuntimeError, match="^bug at 1$"):
+        run_pipeline(cfg, catalog=catalog)
+    assert not (tmp_path / MANIFEST_NAME).exists()
 
 
 def test_run_pipeline_programming_error_is_not_budgeted(catalog, tmp_path,
                                                         monkeypatch):
-    import stereoedit.pipeline as pl
+    _check_programming_error(catalog, tmp_path, monkeypatch, 1)
 
-    def broken(cat, cfg, index):
-        raise RuntimeError("bug")
 
-    monkeypatch.setattr(pl, "build_trajectory", broken)
-    cfg = PipelineConfig(record_count=2, output_dir=str(tmp_path), seed=0,
-                         failure_budget=10)
-    with pytest.raises(RuntimeError, match="bug"):
-        run_pipeline(cfg, catalog=catalog)
-    assert not (tmp_path / MANIFEST_NAME).exists()
+def test_run_pipeline_raises_the_first_programming_error_across_shares(
+        catalog, tmp_path, monkeypatch):
+    _check_programming_error(catalog, tmp_path, monkeypatch, 2)
 
 
 def test_run_pipeline_budgets_a_clip_whose_downmix_overflows(catalog_root,
@@ -276,11 +305,12 @@ GOLDEN_DIGEST_6 = \
     "c55e0cf9814bdc4b5db4b3b29512d78b93c842012a7c69dd238a758bad5499b6"
 
 
-def test_run_pipeline_golden_digest(catalog, catalog_root, tmp_path):
+def _check_golden_digest(catalog, catalog_root, tmp_path, workers):
     import hashlib
 
     run_pipeline(PipelineConfig(record_count=6, output_dir=str(tmp_path),
-                                seed=42), catalog=catalog)
+                                seed=42, worker_count=workers),
+                 catalog=catalog)
     manifest = canonical_manifest_bytes(tmp_path / MANIFEST_NAME)
     root = json.dumps(str(catalog_root))[1:-1].encode()
     h = hashlib.sha256(manifest.replace(root, b"<catalog>"))
@@ -292,6 +322,16 @@ def test_run_pipeline_golden_digest(catalog, catalog_root, tmp_path):
              for meta in row["per_step_meta"]}
     assert {"Remove", "Turn up", "Turn down", "Change", "Add"} <= steps
     assert h.hexdigest() == GOLDEN_DIGEST_6
+
+
+def test_run_pipeline_golden_digest(catalog, catalog_root, tmp_path):
+    _check_golden_digest(catalog, catalog_root, tmp_path, 1)
+
+
+@pytest.mark.parametrize("workers", [2, 4])  # 4: three shares of 2, one idle
+def test_run_pipeline_golden_digest_at_more_workers(catalog, catalog_root,
+                                                    tmp_path, workers):
+    _check_golden_digest(catalog, catalog_root, tmp_path, workers)
 
 
 def test_manifest_write_is_atomic(catalog, tmp_path, monkeypatch):
@@ -395,6 +435,49 @@ def test_shared_process_map_runs_the_last_items_here(opened_pools, width,
         assert os.getpid() not in pids[:-here]
         assert 1 <= len(set(pids[:-here])) <= width - 1
     assert len(opened_pools) == 1
+
+
+def _slow_pid(_item):
+    time.sleep(0.02)  # long enough for every worker to start on an item
+    return os.getpid()
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_process_map_runs_each_contiguous_share_in_one_process(opened_pools,
+                                                               width):
+    """Of 7 items, each run of ceil(7 / width) goes to one worker as one
+    task, on every call in the block."""
+    share = math.ceil(7 / width)
+    with process_map(width) as run:
+        calls = [list(run(_slow_pid, range(7))) for _ in range(2)]
+    for pids in calls:
+        assert os.getpid() not in pids
+        for start in range(0, 7, share):
+            assert len(set(pids[start:start + share])) == 1, pids
+    assert len(opened_pools) == 1
+
+
+def test_a_worker_decodes_each_clip_once_per_round(catalog, tmp_path,
+                                                   monkeypatch):
+    """Forked workers inherit the logging decoder; a worker's one task
+    carries one catalog, whose store serves all of its records."""
+    log_path = tmp_path / "decodes.txt"
+    decode = audio._decode_clip
+
+    def logged(path):
+        with open(log_path, "a") as fh:
+            fh.write(f"{os.getpid()} {path}\n")
+        return decode(path)
+
+    monkeypatch.setattr(audio, "_decode_clip", logged)
+    stats = run_pipeline(PipelineConfig(
+        record_count=12, output_dir=str(tmp_path / "out"),
+        duration_seconds=2.0, worker_count=2), catalog=catalog)
+    assert stats.failed == 0
+    decodes = log_path.read_text().splitlines()
+    assert decodes
+    assert str(os.getpid()) not in {line.split()[0] for line in decodes}
+    assert len(set(decodes)) == len(decodes)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
