@@ -7,6 +7,7 @@ converted on ingest and export only.
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
 import threading
@@ -187,10 +188,17 @@ def resample(samples: np.ndarray, from_rate: int, to_rate: int = SAMPLE_RATE) ->
         return np.asarray(samples, dtype=np.float64)
     g = gcd(from_rate, to_rate)
     up, down = to_rate // g, from_rate // g
-    taps = firwin(_TAPS_PER_PHASE * up, 1.0 / max(up, down),
-                  window=("kaiser", _KAISER_BETA))
     return resample_poly(np.asarray(samples, dtype=np.float64), up, down,
-                         window=taps * up)
+                         window=_resample_window(up, down))
+
+
+@functools.lru_cache(maxsize=8)
+def _resample_window(up: int, down: int) -> np.ndarray:
+    """The resampler's filter for (up, down), designed once and shared."""
+    taps = firwin(_TAPS_PER_PHASE * up, 1.0 / max(up, down),
+                  window=("kaiser", _KAISER_BETA)) * up
+    taps.flags.writeable = False  # resample_poly copies its window
+    return taps
 
 
 def _decode_clip(path) -> tuple[np.ndarray, float]:

@@ -2,7 +2,8 @@
 
 The scene-backed implementation here is the reference ("oracle") editor:
 every step becomes a parameter change on one event, and the audio is always
-re-rendered from the scene, so inverses hold to float precision. External
+the scene's exact render (an Add mixes only its event onto the render before
+it), so inverses hold to float precision, bit for bit. External
 learned editors plug in through the same ``edit(audio, step)`` surface via
 subprocess or HTTP adapters.
 """
@@ -120,17 +121,37 @@ class Editor:
 
 
 class OracleEditor(Editor):
-    """Scene-backed exact editor; tracks its own scene state across calls."""
+    """Scene-backed exact editor; tracks its own scene state across calls.
+
+    It keeps its renders of the two scenes it used last and returns a kept
+    one for a step back to its scene: callers must not write into returns.
+    """
 
     def __init__(self, scene: Scene, catalog: Catalog | None = None,
                  rng: random.Random | None = None):
         self.scene = scene
         self.catalog = catalog
         self.rng = rng or random.Random(0)
+        self._renders: list[tuple[Scene, AudioBuffer]] = []  # last used last
+
+    def _kept(self, scene: Scene):
+        # by identity: == on EventSpec would compare the clips' arrays
+        ids = [*map(id, scene.events)]
+        return next((kept for kept in self._renders
+                     if [*map(id, kept[0].events)] == ids), None)
 
     def edit(self, audio_before: AudioBuffer, step: AtomicStep) -> AudioBuffer:
-        self.scene, _ = apply_step(self.scene, step, self.catalog, self.rng)
-        return render_scene(self.scene)
+        scene, _ = apply_step(self.scene, step, self.catalog, self.rng)
+        if isinstance(step, Add):
+            before = (self._kept(self.scene)
+                      or (self.scene, render_scene(self.scene)))
+            used = [before, (scene, render_scene(scene, base=before))]
+        else:
+            used = [self._kept(scene) or (scene, render_scene(scene))]
+        self.scene = scene  # only once every render has succeeded
+        kept = [k for k in self._renders if all(k is not u for u in used)]
+        self._renders = (kept + used)[-2:]
+        return used[-1][1]
 
 
 def _check_adapter_output(audio_before: AudioBuffer, wav) -> AudioBuffer:

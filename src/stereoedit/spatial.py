@@ -136,7 +136,8 @@ def spatialize(clip: SourceClip, direction: Direction, gain_db: float = 0.0) -> 
 _BLOCK = 16384
 
 
-def render_scene(scene: Scene, out: np.ndarray | None = None) -> AudioBuffer:
+def render_scene(scene: Scene, out: np.ndarray | None = None,
+                 base: tuple[Scene, AudioBuffer] | None = None) -> AudioBuffer:
     """Sample-wise superposition of all spatialized events. Never clips.
 
     Renders into ``out``, a float64 (2, n) array, when one is given. Each
@@ -144,14 +145,23 @@ def render_scene(scene: Scene, out: np.ndarray | None = None) -> AudioBuffer:
     the output, so the sums are those of adding whole spatialize() renders
     in event order, bit for bit, without any of them being allocated. A
     mix that overflows float64 raises UnsupportedFormat.
+
+    ``base``, a ``(base_scene, base_audio)`` pair whose events open the
+    scene's (the same objects, in order), starts each block from a copy of
+    base_audio's: the same sums, so the same bytes. base_audio is only read.
     """
     n = scene.num_samples
     if out is None:
         out = np.empty((2, n))
     elif out.shape != (2, n) or out.dtype != np.float64:
         raise ValueError(f"render buffer must be float64 of shape {(2, n)}")
+    start_from = base[1].samples if base else None
+    first = len(base[0].events) if base else 0
+    if base and (start_from.shape != (2, n) or [*map(id, base[0].events)]
+                 != [*map(id, scene.events[:first])]):  # the same objects
+        raise ValueError("base must be a render of the scene's first events")
     events = []
-    for e in scene.events:
+    for e in scene.events[first:]:
         if len(e.clip.samples) != n:
             raise ValueError(f"event {e.event_id}: clip has "
                              f"{len(e.clip.samples)} samples, scene {n}")
@@ -162,11 +172,15 @@ def render_scene(scene: Scene, out: np.ndarray | None = None) -> AudioBuffer:
             stop = min(start + _BLOCK, n)
             for ch in (0, 1):
                 acc = out[ch, start:stop]
-                acc.fill(0.0)
+                if start_from is None:
+                    acc.fill(0.0)
+                else:
+                    acc[:] = start_from[ch, start:stop]
                 for x, cues in events:
                     gain, d = cues[ch]
                     # skipping a delayed channel's zero head is exact: a sum
-                    # from +0.0 is never -0.0, so +0.0 changes nothing
+                    # from +0.0, as a base is, is never -0.0, so +0.0 changes
+                    # nothing
                     lo = max(start, d)
                     if lo < stop:
                         tmp = product[: stop - lo]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
+from scipy.signal import resample_poly
 
 import stereoedit.audio as audio
 import stereoedit.pipeline as pl
@@ -163,6 +164,31 @@ def test_a_store_past_its_bound_prepares_every_request_exactly(
     assert [key[0] for key in store._pcm] == [str(small)]
     assert [key[0][0] for key in store._factors] == [str(small)]
     assert store.nbytes == 480
+
+
+def test_resampled_clips_share_one_filter_design(tmp_path, monkeypatch):
+    """Two 16 kHz files through one store design the (3, 2) filter once,
+    and decode to scipy's resampling with a freshly designed filter."""
+    designs = []
+    firwin = audio.firwin
+
+    def counting(*args, **kwargs):
+        designs.append(args)
+        return firwin(*args, **kwargs)
+
+    monkeypatch.setattr(audio, "firwin", counting)
+    audio._resample_window.cache_clear()
+    store = ClipStore()
+    for seed in (0, 1):
+        path = tmp_path / f"c{seed}.wav"
+        wavfile.write(path, 16000, _samples(np.int16, 3200, 1, seed))
+        _, data = read_wav(path)
+        taps = firwin(64 * 3, 1.0 / 3, window=("kaiser", 8.6))
+        want = normalize_rms(fit_duration(audio._clip(
+            "x", resample_poly(data, 3, 2, window=taps * 3), str(path)), 0.2))
+        _same(store.prepared(path, "x", 0.2), want)
+    assert len(designs) == 1
+    assert not audio._resample_window(3, 2).flags.writeable
 
 
 def _traced_request(tmp_path, clip_seconds, requests_before):

@@ -7,6 +7,8 @@ import textwrap
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereoedit import engine
 from stereoedit.audio import SAMPLE_RATE, SourceClip
@@ -15,7 +17,10 @@ from stereoedit.engine import (HttpEditorAdapter, OracleEditor,
                                execute_plan)
 from stereoedit.errors import (AdapterProtocolError, AdapterTimeout,
                                AmbiguousTarget, EmptyCatalog, EmptySceneResult,
-                               EndpointUnreachable, TargetNotFound)
+                               EndpointUnreachable, StereoEditError,
+                               TargetNotFound, UnsupportedFormat)
+from stereoedit.metrics import roundtrip_drift
+from stereoedit.pipeline import sample_scene
 from stereoedit.plans import (Add, Change, EditPlan, Extract, Remove,
                               TurnDown, TurnUp)
 from stereoedit.spatial import (Direction, EventSpec, Scene, db_to_linear,
@@ -207,6 +212,100 @@ def test_every_step_goes_through_apply_step(catalog, monkeypatch):
     for step in edits:
         audio = editor.edit(audio, step)
     assert steps == edits
+
+
+def _oracle_steps(scene, catalog):
+    """One step of any type on the scene: Adds take a label the scene lacks,
+    the rest target one of its labels, narrowed by any direction or none."""
+    targets = st.sampled_from(scene.labels)
+    sides = st.sampled_from(Direction)
+    narrowing = st.none() | sides
+    db = st.integers(0, 6).map(float)
+    spare = [label for label in catalog.labels if label not in scene.labels]
+    return st.one_of(
+        st.builds(Add, st.sampled_from(spare), st.none() | sides,
+                  st.none() | st.integers(-6, 6).map(float)),
+        st.builds(Remove, targets, narrowing),
+        st.builds(Extract, targets, narrowing),
+        st.builds(TurnUp, targets, db),
+        st.builds(TurnDown, targets, db),
+        st.builds(Change, targets, sides, narrowing))
+
+
+def _bytes(audio):
+    return audio.samples.tobytes()
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_oracle_editor_returns_the_render_of_its_scene(catalog, seed, data):
+    """Every return equals a full render of the editor's scene, byte for
+    byte, and an Add's Remove returns the very buffer returned before it."""
+    rng = random.Random(seed)
+    editor = OracleEditor(sample_scene(catalog, rng, 1, 4, 0.5),
+                          catalog=catalog, rng=rng)
+    audio, returned = render_scene(editor.scene), None
+    for _ in range(data.draw(st.integers(1, 8))):
+        before = editor.scene
+        step = data.draw(_oracle_steps(before, catalog))
+        try:
+            audio = editor.edit(audio, step)
+        except StereoEditError:  # no such target, or nothing would be left
+            assert editor.scene is before
+            continue
+        assert _bytes(audio) == _bytes(render_scene(editor.scene))
+        if isinstance(step, Add) and data.draw(st.booleans()):
+            undone = editor.edit(audio, Remove(step.label))
+            assert _bytes(undone) == _bytes(render_scene(before))
+            assert returned is None or undone is returned
+            audio = undone
+        returned = audio
+
+
+def test_oracle_roundtrip_mixes_one_event_per_round(catalog, monkeypatch):
+    """Round 1 renders the scene, then its Add onto that render; each later
+    round renders only its Add, onto the kept render, and no Remove renders."""
+    calls = []
+    step = [None]
+
+    def counting(scene, out=None, base=None):
+        calls.append((type(step[0]).__name__, len(scene.events),
+                      None if base is None else len(base[0].events)))
+        return render_scene(scene, out, base)
+
+    class Watched(OracleEditor):
+        def edit(self, audio_before, edit_step):
+            step[0] = edit_step
+            return super().edit(audio_before, edit_step)
+
+    monkeypatch.setattr(engine, "render_scene", counting)
+    scene = sample_scene(catalog, random.Random(5), 3, 3, 1.0)
+    spare = next(l for l in catalog.labels if l not in scene.labels)
+    editor = Watched(scene, catalog=catalog, rng=random.Random(0))
+    result = roundtrip_drift(editor, render_scene(scene), spare, rounds=5)
+    assert result.lsd_per_round == (0.0,) * 5
+    assert calls == [("Add", 3, None)] + [("Add", 4, 3)] * 5
+
+
+def test_oracle_edit_whose_render_overflows_changes_nothing(catalog):
+    """A failed render leaves the editor on its old scene, with renders
+    that later steps still find exact."""
+    n = SAMPLE_RATE // 2
+    # front, at 1.68e308 everywhere: an Add at the same gain overflows
+    loud = EventSpec("e0", "hum", SourceClip("hum", np.full(n, 1.5)),
+                     Direction.FRONT, 6164.0)
+    editor = OracleEditor(Scene((loud,), n / SAMPLE_RATE), catalog=catalog,
+                          rng=random.Random(0))
+    audio = editor.edit(None, Add("wind"))
+    audio = editor.edit(audio, Remove("wind"))
+    scene = editor.scene
+    with pytest.raises(UnsupportedFormat, match="overflows float64"):
+        editor.edit(audio, Add("rain", Direction.FRONT, 6164.0))
+    assert editor.scene is scene
+    added = editor.edit(audio, Add("wind"))
+    assert _bytes(added) == _bytes(render_scene(editor.scene))
+    assert editor.edit(added, Remove("wind")) is audio
+    assert _bytes(audio) == _bytes(render_scene(scene))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stereoedit.audio import SAMPLE_RATE, SourceClip
+from stereoedit.audio import SAMPLE_RATE, AudioBuffer, SourceClip
+from stereoedit.errors import UnsupportedFormat
 from stereoedit.spatial import (Direction, EventSpec, Scene, db_to_linear,
                                 itd_samples, pan_gains, render_scene,
                                 spatialize)
@@ -196,6 +197,52 @@ def test_render_scene_rejects_a_mismatched_buffer_or_clip():
     with pytest.raises(ValueError, match="999 samples"):
         render_scene(Scene((EventSpec("e0", "a", _clip(n=999), Direction.LEFT,
                                       0.0),), 1000 / SAMPLE_RATE))
+
+
+def test_render_scene_from_a_base_equals_a_full_render(make_scene):
+    scene = make_scene(seed=4, k_min=5, k_max=5)
+    full = render_scene(scene).samples.tobytes()
+    for k in range(len(scene.events) + 1):
+        opening = Scene(scene.events[:k], scene.duration_seconds)
+        base_audio = render_scene(opening)
+        kept = base_audio.samples.copy()
+        audio = render_scene(scene, base=(opening, base_audio))
+        assert audio.samples.tobytes() == full
+        assert audio.samples is not base_audio.samples
+        assert np.array_equal(base_audio.samples, kept)
+
+
+def test_render_scene_rejects_a_base_that_does_not_open_the_scene(make_scene):
+    scene = make_scene(seed=4, k_min=5, k_max=5)
+    events, duration = scene.events, scene.duration_seconds
+    first, second = events[:2]
+    copied = EventSpec(first.event_id, first.label, first.clip,
+                       first.direction, first.gain_db)
+    longer = Scene(events + (EventSpec("e9", "x", first.clip, Direction.LEFT,
+                                       0.0),), duration)
+    for opening in [Scene((second,), duration), Scene((second, first), duration),
+                    Scene((copied,), duration), longer]:
+        base_audio = render_scene(opening)
+        with pytest.raises(ValueError, match="base"):
+            render_scene(scene, base=(opening, base_audio))
+    short = AudioBuffer(np.zeros((2, scene.num_samples - 1)))
+    with pytest.raises(ValueError, match="base"):
+        render_scene(scene, base=(Scene(events[:1], duration), short))
+
+
+def test_render_scene_from_a_base_raises_when_the_added_event_overflows():
+    n = 1000
+    # front, at 1.68e308 everywhere: a second copy overflows float64
+    loud = EventSpec("e0", "a", SourceClip("a", np.full(n, 1.5)),
+                     Direction.FRONT, 6164.0)
+    opening = Scene((loud,), n / SAMPLE_RATE)
+    base_audio = render_scene(opening)
+    kept = base_audio.samples.copy()
+    scene = Scene((loud, EventSpec("e1", "b", loud.clip, Direction.FRONT,
+                                   6164.0)), n / SAMPLE_RATE)
+    with pytest.raises(UnsupportedFormat, match="overflows float64"):
+        render_scene(scene, base=(opening, base_audio))
+    assert np.array_equal(base_audio.samples, kept)
 
 
 def test_render_scene_allocates_little_beyond_its_output(make_scene):
