@@ -141,13 +141,19 @@ class OracleEditor(Editor):
                      if [*map(id, kept[0].events)] == ids), None)
 
     def edit(self, audio_before: AudioBuffer, step: AtomicStep) -> AudioBuffer:
-        scene, _ = apply_step(self.scene, step, self.catalog, self.rng)
-        if isinstance(step, Add):
-            before = (self._kept(self.scene)
-                      or (self.scene, render_scene(self.scene)))
-            used = [before, (scene, render_scene(scene, base=before))]
-        else:
-            used = [self._kept(scene) or (scene, render_scene(scene))]
+        # an Add draws its clip from the rng: a failed edit gives it back
+        rng_state, used = self.rng.getstate(), None
+        try:
+            scene, _ = apply_step(self.scene, step, self.catalog, self.rng)
+            if isinstance(step, Add):
+                before = (self._kept(self.scene)
+                          or (self.scene, render_scene(self.scene)))
+                used = [before, (scene, render_scene(scene, base=before))]
+            else:
+                used = [self._kept(scene) or (scene, render_scene(scene))]
+        finally:
+            if used is None:
+                self.rng.setstate(rng_state)
         self.scene = scene  # only once every render has succeeded
         kept = [k for k in self._renders if all(k is not u for u in used)]
         self._renders = (kept + used)[-2:]

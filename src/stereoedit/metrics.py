@@ -73,19 +73,28 @@ def lsd(a: AudioBuffer, b: AudioBuffer) -> float:
     """Log-spectral distance in dB, averaged over frames and channels.
 
     Per channel: RMS over bins of 10*log10((|A|^2+eps)/(|B|^2+eps)), then
-    the mean over frames; the two channel values are averaged.
+    the mean over frames; the two channel values are averaged. A block of
+    frames whose samples are the same bits in both buffers scores 0 without
+    a transform, as the formula gives for equal frames.
     """
     _check_pair(a, b)
     per_channel = []
     for ch in range(2):
         fa = _frames(a.samples[ch])
         fb = _frames(b.samples[ch])
-        powers_a = (a.block_powers[ch] if isinstance(a, _Reference) else
-                    (_power(fa[block]) for block in _blocks(len(fa))))
+        # bits, not ==, so that +0.0 against -0.0 is still transformed
+        bits_a, bits_b = (x.samples[ch].view(np.int64) for x in (a, b))
         # every frame's value is kept, so the mean over frames sums in the
         # same order as an unblocked pass and the result is bit-identical
-        per_frame = np.empty(len(fa))
-        for block, power_a in zip(_blocks(len(fa)), powers_a):
+        per_frame = np.zeros(len(fa))
+        for i, block in enumerate(_blocks(len(fa))):
+            span = slice(block.start * HOP,
+                         (min(block.stop, len(fa)) - 1) * HOP + WINDOW)
+            if np.array_equal(bits_a[span], bits_b[span]):
+                continue  # its frames score 0, as equal frames do below
+            # the reference's powers are built on the first block that differs
+            power_a = (a.block_powers[ch][i] if isinstance(a, _Reference)
+                       else _power(fa[block]))
             diff = _power(fb[block])
             np.divide(power_a, diff, out=diff)
             np.log10(diff, out=diff)
@@ -168,7 +177,8 @@ def roundtrip_drift(editor: Editor, audio: AudioBuffer, pseudo_label: str,
                     rounds: int = 5) -> RoundTripResult:
     """Add-then-remove the same pseudo label repeatedly and track LSD drift
     against the original audio after each round. The original is analysed
-    once, in the first round's lsd call."""
+    at most once per call, on the first block of a round that differs from
+    it; a block equal to it bit for bit scores 0 without a transform."""
     add = Add(label=pseudo_label)
     remove = Remove(label=pseudo_label)
     reference = _Reference(audio.samples, audio.sample_rate_hz)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .audio import CANONICAL_SECONDS, ClipStore, scratch, write_wav
+from .audio import (CANONICAL_SECONDS, SAMPLE_RATE, ClipStore, scratch,
+                    write_wav)
 from .catalog import Catalog, build_catalog
 from .designer import (DesignerConfig, DesignerMode, design_plan_llm,
                        design_plan_template)
@@ -71,8 +72,11 @@ class PipelineConfig:
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise TypeError("output_dir must be a path")
         seconds = self.duration_seconds
-        if type(seconds) not in (int, float) or not 0 < seconds < math.inf:
-            raise ValueError("duration_seconds must be positive and finite")
+        # sys.maxsize is numpy's largest array dimension
+        if (type(seconds) not in (int, float)
+                or not 0 < seconds * SAMPLE_RATE <= sys.maxsize):
+            raise ValueError("duration_seconds must be positive, with a "
+                             "sample count an array can hold")
         if not isinstance(self.single_step_expansion, bool):
             raise TypeError("single_step_expansion must be true or false")
         if self.k_min < 2 or self.k_max > 5:
@@ -323,7 +327,7 @@ def run_pipeline(config: PipelineConfig, catalog: Catalog | None = None) -> Pipe
         probe = out / ".write_probe"
         probe.write_text("")
         probe.unlink()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise OutputDirNotWritable(f"{out}: {exc}") from exc
 
     # The run decodes clips into its own copy's store, so they are freed

@@ -232,10 +232,6 @@ def parse_plan_text(text: str) -> EditPlan:
     return EditPlan(instruction="", sound_sources=(), steps=tuple(steps))
 
 
-def serialize_plan_text(plan: EditPlan) -> str:
-    return "\n".join(serialize_step(s) for s in plan.steps)
-
-
 # ---------------------------------------------------------------------------
 # JSON form (base-prompt output shape)
 # ---------------------------------------------------------------------------

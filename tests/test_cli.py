@@ -626,6 +626,17 @@ def test_synth_below_a_regular_file_is_io_error(catalog_root, tmp_path,
     assert "error" in capsys.readouterr().err
 
 
+def test_synth_output_dir_with_a_nul_is_io_error(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"record_count": 1, "output_dir": "\u0000"}))
+    assert main(["synth", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "embedded null byte" in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("clip_bytes,code", [
     (b"RIFF\x00\x01", 3),           # a cut-off header: unreadable
     (b"not a wav file at all", 2),  # not a WAV: unsupported format
@@ -701,6 +712,7 @@ def test_synth_designer_that_is_not_an_object_is_schema_error(
     ("seed", "7"), ("k_min", 2.5), ("k_max", False), ("failure_budget", 0.5),
     ("duration_seconds", "10"), ("duration_seconds", True),
     ("duration_seconds", 0), ("duration_seconds", -1.5),
+    ("duration_seconds", 1e308), ("duration_seconds", 2 ** 70),
     ("single_step_expansion", "yes"), ("single_step_expansion", 1),
     ("record_count", -2), ("worker_count", -3), ("worker_count", 0),
     ("failure_budget", -1),
@@ -712,7 +724,8 @@ def test_synth_config_field_of_wrong_type_is_schema_error(
                                "output_dir": str(tmp_path / "out"),
                                field: value}))
     assert main(["synth", str(cfg)]) == 2
-    assert "invalid pipeline config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid pipeline config" in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -308,6 +308,29 @@ def test_oracle_edit_whose_render_overflows_changes_nothing(catalog):
     assert _bytes(audio) == _bytes(render_scene(scene))
 
 
+def test_oracle_edit_that_fails_leaves_its_rng(catalog):
+    """An Add whose render fails gives back its clip draw: the next Add
+    takes the clip it would have taken had the failed one never run."""
+    n = SAMPLE_RATE // 2
+    loud = EventSpec("e0", "hum", SourceClip("hum", np.full(n, 1.5)),
+                     Direction.FRONT, 6164.0)
+
+    def wind_after(seed, failing):
+        editor = OracleEditor(Scene((loud,), n / SAMPLE_RATE),
+                              catalog=catalog, rng=random.Random(seed))
+        for step in failing:
+            with pytest.raises(UnsupportedFormat, match="overflows float64"):
+                editor.edit(None, step)
+        editor.edit(None, Add("wind"))
+        wind = editor.scene.events[-1]
+        return (wind.clip.origin_path, wind.clip.samples.tobytes(),
+                wind.direction, wind.gain_db)
+
+    for seed in range(20):
+        assert (wind_after(seed, [Add("rain", Direction.FRONT, 6164.0)])
+                == wind_after(seed, [])), seed
+
+
 # ---------------------------------------------------------------------------
 # Subprocess adapter
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from stereoedit import metrics
@@ -11,8 +13,9 @@ from stereoedit.audio import SAMPLE_RATE, AudioBuffer, SourceClip
 from stereoedit.engine import OracleEditor
 from stereoedit.errors import LengthMismatch, NoVoicedFrames
 from stereoedit.metrics import (EPS_POWER, GCC_MAX_LAG, HOP, PHAT_FLOOR,
-                                WINDOW, _tdoa_track, frame_is_silent,
-                                gcc_mse, gcc_phat_tdoa, lsd, roundtrip_drift)
+                                WINDOW, _Reference, _tdoa_track,
+                                frame_is_silent, gcc_mse, gcc_phat_tdoa, lsd,
+                                roundtrip_drift)
 from stereoedit.pipeline import sample_scene
 from stereoedit.plans import Remove
 from stereoedit.spatial import Direction, EventSpec, Scene, render_scene
@@ -132,6 +135,48 @@ def test_blocked_analysis_matches_reference_across_silence():
     _assert_matches_reference(b, a)
 
 
+# Edges of the sample spans of blocks of 32 frames: a span starts at
+# 32*HOP*k and ends WINDOW - HOP samples past the next span's start, or at
+# the buffer's end.
+_EDGE_OFFSETS = (-1, 0, WINDOW - HOP - 1, WINDOW - HOP, WINDOW - 1, WINDOW)
+
+
+@st.composite
+def _lsd_pairs(draw):
+    """A stereo buffer of 1-70 frames and a copy of it that differs in
+    nothing, in all of one channel, in one sample at a block edge, or in
+    the sign of one zero."""
+    n_frames = draw(st.integers(1, 70))
+    n = WINDOW + (n_frames - 1) * HOP
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.uniform(-0.5, 0.5, (2, n))
+    b = a.copy()
+    ch = draw(st.integers(0, 1))
+    change = draw(st.sampled_from(["none", "channel", "edge", "zero sign"]))
+    if change == "channel":
+        b[ch] = rng.uniform(-0.5, 0.5, n)
+    elif change == "edge":
+        edges = {n - 1, *(32 * HOP * k + offset
+                          for k in range(n_frames // 32 + 1)
+                          for offset in _EDGE_OFFSETS)}
+        pos = draw(st.sampled_from(sorted(edges & set(range(n)))))
+        b[ch, pos] += 0.25
+    elif change == "zero sign":
+        pos = draw(st.integers(0, n - 1))
+        a[ch, pos], b[ch, pos] = 0.0, -0.0
+    return AudioBuffer(a), AudioBuffer(b)
+
+
+@settings(max_examples=200)
+@given(_lsd_pairs())
+def test_lsd_skips_equal_blocks_without_moving_a_bit(pair):
+    a, b = pair
+    assert lsd(a, b) == _reference_lsd(a, b)
+    assert lsd(b, a) == _reference_lsd(b, a)
+    assert lsd(_Reference(a.samples, a.sample_rate_hz), b) == _reference_lsd(
+        a, b)
+
+
 def test_gcc_phat_tdoa_returns_int():
     x = np.random.default_rng(4).standard_normal(1024)
     lag = gcc_phat_tdoa(np.roll(x, 5), x)
@@ -162,6 +207,8 @@ def test_shorter_than_window_raises():
     a, b = _noise_buffer(0, n=1023), _noise_buffer(1, n=1023)
     with pytest.raises(LengthMismatch):
         lsd(a, b)
+    with pytest.raises(LengthMismatch):  # equal samples are no shortcut
+        lsd(a, a)
     with pytest.raises(LengthMismatch):
         gcc_mse(a, b)
 
@@ -257,15 +304,18 @@ def test_gcc_mse_all_silent_raises():
         gcc_mse(silent, silent)
 
 
-def test_roundtrip_drift_oracle_is_exact(catalog):
+def test_roundtrip_drift_oracle_is_exact(catalog, transformed):
     rng = np.random.default_rng(3)
     clip = SourceClip(label="rain", samples=rng.uniform(-0.3, 0.3, 48000))
     scene = Scene((EventSpec("e0", "rain", clip, Direction.FRONT, 0.0),), 2.0)
     audio = render_scene(scene)
+    transformed["of"] = audio
     editor = OracleEditor(scene, catalog=catalog, rng=random.Random(0))
     result = roundtrip_drift(editor, audio, "wind", rounds=5)
     assert len(result.lsd_per_round) == 5
     assert result.lsd_per_round == (0.0,) * 5
+    # every round's blocks equal the original's bit for bit
+    assert transformed == {"reference": 0, "other": 0, "of": audio}
 
 
 class _LossyEditor:
@@ -354,6 +404,43 @@ def test_roundtrip_drift_transforms_the_reference_once(transformed):
     roundtrip_drift(_LossyEditor(), audio, "ghost", rounds=5)
     assert transformed["reference"] == 2 * 65  # each frame of both channels
     assert transformed["other"] == 5 * 2 * 65
+
+
+class _OneSampleEditor(_LossyEditor):
+    """Adds nothing; each Remove returns a copy with one sample set."""
+
+    def __init__(self, ch, pos, value):
+        super().__init__()
+        self.ch, self.pos, self.value = ch, pos, value
+
+    def edit(self, audio, step):
+        self.calls += 1
+        if not isinstance(step, Remove):
+            return audio
+        samples = audio.samples.copy()
+        samples[self.ch, self.pos] = self.value
+        out = AudioBuffer(samples)
+        self.removed.append(out)
+        return out
+
+
+@pytest.mark.parametrize("pos,value,frames", [
+    (32 * HOP + 100, 0.75, 64),        # in the spans of blocks 0 and 1
+    (64 * HOP + WINDOW - 1, 0.75, 1),  # only in the last frame, block 2
+    (100, -0.0, 32),                   # the sign of a zero: bits differ
+])
+def test_lsd_transforms_only_the_blocks_that_differ(transformed, pos, value,
+                                                     frames):
+    samples = _delayed_noise(65, seed=2, delay=5)
+    samples[1, 100] = 0.0
+    audio = AudioBuffer(samples)
+    transformed["of"] = audio
+    editor = _OneSampleEditor(1, pos, value)
+    result = roundtrip_drift(editor, audio, "ghost", rounds=5)
+    assert result.lsd_per_round == tuple(_reference_lsd(audio, c)
+                                         for c in editor.removed)
+    assert transformed["reference"] == 2 * 65  # once, in the first round
+    assert transformed["other"] == 5 * frames
 
 
 def test_roundtrip_drift_zero_rounds_does_no_analysis(transformed):
