@@ -12,12 +12,12 @@ import mmap
 import os
 import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 from math import gcd, isfinite
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import firwin, resample_poly
 
 from .errors import SilentClip, UnreadableFile, UnsupportedFormat
 
@@ -186,6 +186,7 @@ def resample(samples: np.ndarray, from_rate: int, to_rate: int = SAMPLE_RATE) ->
     """Polyphase windowed-sinc resampling (Kaiser, 64 taps per phase)."""
     if from_rate == to_rate:
         return np.asarray(samples, dtype=np.float64)
+    from scipy.signal import resample_poly  # slow to import, rarely needed
     g = gcd(from_rate, to_rate)
     up, down = to_rate // g, from_rate // g
     return resample_poly(np.asarray(samples, dtype=np.float64), up, down,
@@ -195,6 +196,7 @@ def resample(samples: np.ndarray, from_rate: int, to_rate: int = SAMPLE_RATE) ->
 @functools.lru_cache(maxsize=8)
 def _resample_window(up: int, down: int) -> np.ndarray:
     """The resampler's filter for (up, down), designed once and shared."""
+    from scipy.signal import firwin
     taps = firwin(_TAPS_PER_PHASE * up, 1.0 / max(up, down),
                   window=("kaiser", _KAISER_BETA)) * up
     taps.flags.writeable = False  # resample_poly copies its window
@@ -293,18 +295,22 @@ class ClipStore:
     """The one way a clip enters a scene: decoded once, prepared per request.
 
     Per file, keyed on (path, mtime, size), the store keeps ``_decode_clip``'s
-    exact form of its samples, and per (file, duration) the RMS factor. A
-    request for both costs one fresh float64 array and one multiply. A
-    request without the factor fits the clip in that array, takes the
-    factor from it and scales it there. Both give
-    ``normalize_rms(fit_duration(load_clip(...)))`` bit for bit: ``q *
-    (factor * unit)`` rounds the exact product that ``(q * unit) * factor``
-    rounds, once, because ``unit`` is a power of two.
+    exact form of its samples, and per (file, duration) the RMS factor and a
+    weak reference to the last prepared array, which is read-only. A request
+    whose array is still alive, held by some scene, returns that array, so
+    scenes that use a clip share it. A request for a freed array with its
+    factor costs one fresh float64 array and one multiply. A request without
+    the factor fits the clip in that array, takes the factor from it and
+    scales it there. All give ``normalize_rms(fit_duration(load_clip(...)))``
+    bit for bit: ``q * (factor * unit)`` rounds the exact product that ``(q *
+    unit) * factor`` rounds, once, because ``unit`` is a power of two.
     """
 
     def __init__(self):
         self._pcm: dict[tuple, tuple[np.ndarray, float]] = {}
         self._factors: dict[tuple, float] = {}
+        # weak, so a clip that no scene holds is freed
+        self._live = weakref.WeakValueDictionary()
         self.nbytes = 0
 
     def prepared(self, path, label: str, duration_seconds: float) -> SourceClip:
@@ -314,6 +320,9 @@ class ClipStore:
             _decode_clip(path)  # raises the package's error for a bad path
             raise
         key = (str(path), stat.st_mtime_ns, stat.st_size)
+        out = self._live.get((key, duration_seconds))
+        if out is not None:
+            return _clip(label, out, key[0])
         pcm = self._pcm.get(key)
         if pcm is None:
             pcm = _decode_clip(path)
@@ -339,4 +348,6 @@ class ClipStore:
             out[:m] *= factor
         else:
             out[:m] *= factor * unit
+        out.flags.writeable = False
+        self._live[key, duration_seconds] = out
         return clip

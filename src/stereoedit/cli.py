@@ -68,8 +68,8 @@ def _load_plan(path: str):
 def _load_scene(path: str):
     try:  # decode and parse errors are ValueErrors; deep nesting recurses
         return scene_from_json(json.loads(Path(path).read_text()))
-    except (AttributeError, KeyError, RecursionError, ValueError,
-            TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, RecursionError,
+            ValueError, TypeError) as exc:
         raise SchemaError(f"invalid scene description: {exc}") from exc
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 from pathlib import Path
 from scipy.io import wavfile
-from scipy.signal import lfilter
 
 from .audio import SAMPLE_RATE
 
@@ -27,6 +26,7 @@ CLIPS_PER_LABEL = 2
 
 def _lowpass(x: np.ndarray, alpha: float) -> np.ndarray:
     # one-pole smoother; cheap spectral shaping for noise textures
+    from scipy.signal import lfilter  # slow to import: only demo catalogs need it
     return lfilter([1.0 - alpha], [1.0, -alpha], x)
 
 

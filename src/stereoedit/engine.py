@@ -124,7 +124,8 @@ class OracleEditor(Editor):
     """Scene-backed exact editor; tracks its own scene state across calls.
 
     It keeps its renders of the two scenes it used last and returns a kept
-    one for a step back to its scene: callers must not write into returns.
+    one for a step back to its scene, so every render it returns is
+    read-only.
     """
 
     def __init__(self, scene: Scene, catalog: Catalog | None = None,
@@ -155,6 +156,8 @@ class OracleEditor(Editor):
             if used is None:
                 self.rng.setstate(rng_state)
         self.scene = scene  # only once every render has succeeded
+        for _, render in used:
+            render.samples.flags.writeable = False
         kept = [k for k in self._renders if all(k is not u for u in used)]
         self._renders = (kept + used)[-2:]
         return used[-1][1]

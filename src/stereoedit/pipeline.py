@@ -45,6 +45,17 @@ MANIFEST_SCHEMA_VERSION = 1
 SCENE_GAIN_RANGE_DB = (-6.0, 0.0)
 
 
+def _check_duration(seconds) -> None:
+    """Reject a scene length unless it is a positive int or float whose (2,
+    n) float64 render numpy can size: 16 bytes a frame, sys.maxsize bytes
+    at most. A size it can hold may still not fit in memory."""
+    if (type(seconds) not in (int, float)
+            or not 0 < seconds * SAMPLE_RATE < math.inf
+            or 16 * round(seconds * SAMPLE_RATE) > sys.maxsize):
+        raise ValueError("duration_seconds must be positive, with a render "
+                         "an array can hold")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     record_count: int
@@ -71,12 +82,7 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be at least {least}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise TypeError("output_dir must be a path")
-        seconds = self.duration_seconds
-        # sys.maxsize is numpy's largest array dimension
-        if (type(seconds) not in (int, float)
-                or not 0 < seconds * SAMPLE_RATE <= sys.maxsize):
-            raise ValueError("duration_seconds must be positive, with a "
-                             "sample count an array can hold")
+        _check_duration(self.duration_seconds)
         if not isinstance(self.single_step_expansion, bool):
             raise TypeError("single_step_expansion must be true or false")
         if self.k_min < 2 or self.k_max > 5:
@@ -163,13 +169,13 @@ def scene_from_json(data: dict) -> Scene:
     """Rebuild a scene from its JSON description, taking each event's clip
     from one ``ClipStore``, so a clip the scene repeats is decoded once.
 
-    JSON admits NaN and Infinity, so the duration must be finite, and each
-    gain finite with a linear factor ``10 ** (gain_db / 20)`` that is too.
+    JSON admits NaN and Infinity, so the duration must pass the config's
+    bound, and each gain be finite with a linear factor ``10 ** (gain_db /
+    20)`` that is too.
     A clip path must be a string: ``os.stat`` and ``wavfile.read`` take an
     int as an open file descriptor."""
     duration = float(data.get("duration_seconds", CANONICAL_SECONDS))
-    if not 0 < duration < math.inf:
-        raise ValueError("duration_seconds must be positive and finite")
+    _check_duration(duration)
     store, events = ClipStore(), []
     for i, ev in enumerate(data["events"]):
         event_id = str(ev.get("event_id", f"e{i}"))

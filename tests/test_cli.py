@@ -713,6 +713,7 @@ def test_synth_designer_that_is_not_an_object_is_schema_error(
     ("duration_seconds", "10"), ("duration_seconds", True),
     ("duration_seconds", 0), ("duration_seconds", -1.5),
     ("duration_seconds", 1e308), ("duration_seconds", 2 ** 70),
+    ("duration_seconds", 1e14),  # a sample count whose render numpy can't size
     ("single_step_expansion", "yes"), ("single_step_expansion", 1),
     ("record_count", -2), ("worker_count", -3), ("worker_count", 0),
     ("failure_budget", -1),
@@ -772,6 +773,28 @@ def test_scene_number_that_is_not_finite_is_schema_error(
     scene_file.write_text(json.dumps(data))  # as Infinity or NaN
     assert main(["render", str(scene_file), str(tmp_path / "o.wav")]) == 2
     assert "invalid scene description" in capsys.readouterr().err
+
+
+# each is rejected before a render is allocated
+@pytest.mark.parametrize("value", [1e308, 2 ** 70, 1e14, 10 ** 400],
+                         ids=["1e308", "2**70", "1e14", "10**400"])
+def test_scene_duration_whose_render_numpy_cannot_size_is_schema_error(
+        tmp_path, capsys, value):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"duration_seconds": value, "events": []}))
+    assert main(["render", str(scene), str(tmp_path / "o.wav")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid scene description" in err and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [scene]
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = ("import sys, stereoedit, stereoedit.cli; "
+            "print('scipy.signal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("command", ["render", "edit"])

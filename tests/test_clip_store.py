@@ -1,4 +1,5 @@
-"""The clip store: exact, one allocation per hit, and scoped to its catalog."""
+"""The clip store: exact, shared while a scene holds a clip, one allocation
+per other repeat request, and scoped to its catalog."""
 
 import gc
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
@@ -70,10 +72,32 @@ def test_store_gives_prepare_clip_bit_for_bit(dtype, channels, rate,
             assert (load_clip(path, "x").samples.tobytes()
                     == read_wav(path)[1].tobytes())
         store = ClipStore()
-        for duration in [*durations, *durations]:  # a first and second request
+        # per duration: a first request, a second while the first clip is
+        # alive, then, the first freed, one more that has its factor
+        for duration in [*durations, *durations]:
             want = prepare_clip(path, duration)
-            _same(store.prepared(path, "x", duration), want)
+            first = store.prepared(path, "x", duration)
+            _same(first, want)
             _same(store.prepared(str(path), "x", duration), want)
+
+
+def test_live_scenes_share_one_read_only_array_per_clip(catalog_root):
+    """60 scenes held at once take at most one array per catalog clip, and
+    once they are dropped the store keeps none of those arrays alive."""
+    cat = build_catalog(catalog_root)
+    scenes = [sample_scene(cat, random.Random(seed), duration_seconds=1.0)
+              for seed in range(60)]
+    arrays = {id(e.clip.samples): e.clip.samples
+              for scene in scenes for e in scene.events}
+    assert sum(len(scene.events) for scene in scenes) > 40
+    assert len(arrays) <= sum(map(len, cat.entries.values())) == 40
+    assert not any(a.flags.writeable for a in arrays.values())
+    with pytest.raises(ValueError, match="read-only"):
+        scenes[0].events[0].clip.samples[0] = 0.0
+    ref = weakref.ref(scenes[0].events[0].clip.samples)
+    del scenes, arrays
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("content", [
@@ -170,13 +194,13 @@ def test_resampled_clips_share_one_filter_design(tmp_path, monkeypatch):
     """Two 16 kHz files through one store design the (3, 2) filter once,
     and decode to scipy's resampling with a freshly designed filter."""
     designs = []
-    firwin = audio.firwin
+    firwin = scipy.signal.firwin
 
     def counting(*args, **kwargs):
         designs.append(args)
         return firwin(*args, **kwargs)
 
-    monkeypatch.setattr(audio, "firwin", counting)
+    monkeypatch.setattr(scipy.signal, "firwin", counting)
     audio._resample_window.cache_clear()
     store = ClipStore()
     for seed in (0, 1):

@@ -308,6 +308,21 @@ def test_oracle_edit_whose_render_overflows_changes_nothing(catalog):
     assert _bytes(audio) == _bytes(render_scene(scene))
 
 
+def test_oracle_returns_are_read_only(catalog):
+    """The Add after a Remove mixes onto the kept render the Remove
+    returned, so a write into that return would reach the Add's output."""
+    scene = sample_scene(catalog, random.Random(5), 3, 3, 1.0)
+    spare = next(l for l in catalog.labels if l not in scene.labels)
+    editor = OracleEditor(scene, catalog=catalog, rng=random.Random(0))
+    added = editor.edit(None, Add(spare))
+    removed = editor.edit(added, Remove(spare))
+    with pytest.raises(ValueError, match="read-only"):
+        removed.samples[:, 100] += 1.0
+    again = editor.edit(removed, Add(spare))
+    assert _bytes(again) == _bytes(render_scene(editor.scene))
+    assert not any(a.samples.flags.writeable for a in (added, removed, again))
+
+
 def test_oracle_edit_that_fails_leaves_its_rng(catalog):
     """An Add whose render fails gives back its clip draw: the next Add
     takes the clip it would have taken had the failed one never run."""
