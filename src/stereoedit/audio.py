@@ -316,7 +316,7 @@ class ClipStore:
     def prepared(self, path, label: str, duration_seconds: float) -> SourceClip:
         try:
             stat = os.stat(path)
-        except (OSError, TypeError, ValueError):  # no file, or no path
+        except (OSError, ValueError):  # no file, or a NUL in the path
             _decode_clip(path)  # raises the package's error for a bad path
             raise
         key = (str(path), stat.st_mtime_ns, stat.st_size)

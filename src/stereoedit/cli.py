@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
-from .audio import read_stereo, write_wav
+from .audio import SAMPLE_RATE, read_stereo, write_wav
 from .catalog import build_catalog
 from .demo import build_demo_catalog
 from .engine import (HttpEditorAdapter, OracleEditor, SubprocessEditorAdapter,
@@ -255,6 +255,11 @@ def cmd_roundtrip(args) -> int:
                           f"seconds, not {args.timeout}")
     editor = _make_editor(args.editor_spec, args)
     audio = read_stereo(args.audio)
+    if isinstance(editor, OracleEditor) and (  # lsd sees it after round 1
+            (audio.num_samples, audio.sample_rate_hz)
+            != (editor.scene.num_samples, SAMPLE_RATE)):
+        raise SchemaError(f"{args.audio}: not the length and sample rate of "
+                          f"the scene's render")
     result = roundtrip_drift(editor, audio, args.label, rounds=args.rounds)
     rows = [[i, f"{value:.9g}"]
             for i, value in enumerate(result.lsd_per_round, 1)]

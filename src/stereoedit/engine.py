@@ -125,7 +125,8 @@ class OracleEditor(Editor):
 
     It keeps its renders of the two scenes it used last and returns a kept
     one for a step back to its scene, so every render it returns is
-    read-only.
+    read-only. An edit drops the renders it will not keep before it renders,
+    so a failed render can cost a kept one, but never the scene or the rng.
     """
 
     def __init__(self, scene: Scene, catalog: Catalog | None = None,
@@ -147,11 +148,15 @@ class OracleEditor(Editor):
         try:
             scene, _ = apply_step(self.scene, step, self.catalog, self.rng)
             if isinstance(step, Add):
-                before = (self._kept(self.scene)
-                          or (self.scene, render_scene(self.scene)))
+                before = self._kept(self.scene)
+                self._renders = [before] if before else []
+                before = before or (self.scene, render_scene(self.scene))
                 used = [before, (scene, render_scene(scene, base=before))]
             else:
-                used = [self._kept(scene) or (scene, render_scene(scene))]
+                hit = self._kept(scene)
+                if hit is None:  # a render is coming: keep the last used
+                    self._renders = self._renders[-1:]
+                used = [hit or (scene, render_scene(scene))]
         finally:
             if used is None:
                 self.rng.setstate(rng_state)

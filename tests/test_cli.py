@@ -261,6 +261,32 @@ def test_config_values_are_option_defaults(scene_file, catalog,
     assert "invalid int value: '2.5'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mismatch", ["shorter", "48 kHz"])
+def test_roundtrip_rejects_audio_unlike_the_scene_before_an_edit(
+        scene_file, catalog_root, tmp_path, capsys, monkeypatch, mismatch):
+    wav, csv_path = tmp_path / "in.wav", tmp_path / "drift.csv"
+    assert main(["render", str(scene_file), str(wav)]) == 0
+    rate, data = wavfile.read(wav)
+    if mismatch == "shorter":
+        wavfile.write(wav, rate, data[: len(data) // 2])
+    else:
+        wavfile.write(wav, 48000, data)
+    edits, edit = [], cli.OracleEditor.edit
+
+    def counting(self, audio, step):
+        edits.append(step)
+        return edit(self, audio, step)
+
+    monkeypatch.setattr(cli.OracleEditor, "edit", counting)
+    capsys.readouterr()
+    assert main(["roundtrip", f"oracle:{scene_file}", str(wav), "owl hoot",
+                 "--catalog", str(catalog_root), "--csv", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {wav}: not the length and sample rate of the "
+                   f"scene's render\n")
+    assert edits == [] and not csv_path.exists()
+
+
 def test_roundtrip_unknown_editor(tmp_path, scene_file):
     wav = tmp_path / "in.wav"
     main(["render", str(scene_file), str(wav)])

@@ -117,9 +117,9 @@ def test_store_raises_what_load_clip_raises(tmp_path, content):
         assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("path", [None, 1.5, ["a"], "a\0b"])
+@pytest.mark.parametrize("path", ["a\0b", ""])
 def test_store_raises_what_load_clip_raises_on_a_bad_path(path):
-    # a scene file can give any JSON value as a clip path
+    # only strings: scene files reject a clip path that is not one
     with pytest.raises(StereoEditError) as want:
         load_clip(path, "x")
     with pytest.raises(type(want.value)) as got:

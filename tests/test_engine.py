@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -264,19 +265,28 @@ def test_oracle_editor_returns_the_render_of_its_scene(catalog, seed, data):
 
 def test_oracle_roundtrip_mixes_one_event_per_round(catalog, monkeypatch):
     """Round 1 renders the scene, then its Add onto that render; each later
-    round renders only its Add, onto the kept render, and no Remove renders."""
-    calls = []
+    round renders only its Add, onto the kept render, and no Remove renders.
+    While an Add renders, the only array an earlier edit returned that is
+    still alive is the render it mixes onto: the last Add's is freed."""
+    calls, alive = [], []
     step = [None]
+    returned = []  # weak references to the samples every edit returned
 
     def counting(scene, out=None, base=None):
         calls.append((type(step[0]).__name__, len(scene.events),
                       None if base is None else len(base[0].events)))
+        if base is not None:
+            alive.append([ref() is base[1].samples for ref in returned
+                          if ref() is not None])
         return render_scene(scene, out, base)
 
     class Watched(OracleEditor):
         def edit(self, audio_before, edit_step):
             step[0] = edit_step
-            return super().edit(audio_before, edit_step)
+            audio = super().edit(audio_before, edit_step)
+            if all(ref() is not audio.samples for ref in returned):
+                returned.append(weakref.ref(audio.samples))
+            return audio
 
     monkeypatch.setattr(engine, "render_scene", counting)
     scene = sample_scene(catalog, random.Random(5), 3, 3, 1.0)
@@ -285,6 +295,31 @@ def test_oracle_roundtrip_mixes_one_event_per_round(catalog, monkeypatch):
     result = roundtrip_drift(editor, render_scene(scene), spare, rounds=5)
     assert result.lsd_per_round == (0.0,) * 5
     assert calls == [("Add", 3, None)] + [("Add", 4, 3)] * 5
+    assert alive == [[]] + [[True]] * 4
+
+
+def test_oracle_step_with_no_kept_render_frees_the_older_one(catalog,
+                                                            monkeypatch):
+    """A step that finds no kept render of its scene keeps, while it renders,
+    only the render its editor used last; the other one is already freed."""
+    rendered, alive = [], []
+
+    def tracking(scene, out=None, base=None):
+        alive.append([ref() is not None for ref in rendered])
+        audio = render_scene(scene, out, base)
+        rendered.append(weakref.ref(audio.samples))
+        return audio
+
+    monkeypatch.setattr(engine, "render_scene", tracking)
+    scene = sample_scene(catalog, random.Random(5), 3, 3, 1.0)
+    spare = next(l for l in catalog.labels if l not in scene.labels)
+    editor = OracleEditor(scene, catalog=catalog, rng=random.Random(0))
+    editor.edit(None, Add(spare))  # renders the scene, then mixes the Add
+    editor.edit(None, Remove(spare))  # returns the scene's kept render
+    turned = editor.edit(None, TurnUp(scene.labels[0], 2.0))
+    # the scene's render was used last, so the Add's is the one freed
+    assert alive == [[], [True], [True, False]]
+    assert _bytes(turned) == _bytes(render_scene(editor.scene))
 
 
 def test_oracle_edit_whose_render_overflows_changes_nothing(catalog):
