@@ -36,6 +36,7 @@ _INT_SCALES = {
 
 
 _scratch = threading.local()
+_warning_filters_lock = threading.Lock()
 
 
 def scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -122,7 +123,8 @@ def _read_pcm(path) -> tuple[int, np.ndarray]:
     """A WAV's rate and samples as scipy decodes them, with every failure
     raised as the package's error for a bad file."""
     try:
-        with warnings.catch_warnings():
+        # catch_warnings swaps the one filter list that all threads share
+        with _warning_filters_lock, warnings.catch_warnings():
             # else scipy returns the frames before a cut in the data chunk
             warnings.filterwarnings("error", "Reached EOF prematurely",
                                     wavfile.WavFileWarning)

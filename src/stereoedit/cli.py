@@ -20,6 +20,7 @@ import shlex
 import shutil
 import sys
 import tomllib
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -33,9 +34,10 @@ from .errors import (ParseError, SchemaError, StereoEditError, UnreadableFile,
                      ValidationFailed, error_text)
 from .metrics import gcc_mse, lsd, roundtrip_drift
 from .pipeline import (PipelineConfig, canonical_manifest_bytes, export_stages,
-                       process_map, read_manifest, run_pipeline, scene_from_json)
-from .plans import (canonicalize_plan, parse_plan_json, parse_plan_text,
-                    plan_to_json, serialize_step, validate_plan)
+                       read_manifest, run_pipeline, scene_from_json)
+from .plans import (Add, EditPlan, canonicalize_plan, parse_plan_json,
+                    parse_plan_text, plan_to_json, serialize_step,
+                    validate_plan)
 from .spatial import render_scene
 
 log = logging.getLogger("stereoedit")
@@ -199,6 +201,10 @@ def _score_pair(pair) -> list:
         raise UnreadableFile(f"missing candidate audio for {rel}")
     ref = read_stereo(ref_path)
     cand = read_stereo(cand_path)
+    got, want = ((b.num_samples, b.sample_rate_hz) for b in (cand, ref))
+    if got != want:
+        raise SchemaError(f"{cand_path}: {got[0]} samples at {got[1]} Hz, "
+                          f"but its reference has {want[0]} at {want[1]} Hz")
     return [record_id, index,
             f"{lsd(ref, cand):.9g}", f"{gcc_mse(ref, cand):.9g}"]
 
@@ -218,13 +224,11 @@ def cmd_eval(args) -> int:
         pairs.extend((row["record_id"], i, manifest_dir / rel, candidate_dir,
                       rel) for i, rel in enumerate(audio_paths))
 
-    # Rows come back in pair order, so the first failing pair raises first
-    # and the CSV bytes do not depend on the width. Pairs cost about the
-    # same (a record's stages share its length), so this process scores
-    # its share instead of waiting on one more worker.
-    with process_map(min(_usable_cpus(), len(pairs)),
-                     caller_shares=True) as run:
-        scores = list(run(_score_pair, pairs))
+    # numpy releases the GIL in the transforms, so threads in this process
+    # score pairs side by side. Rows come back in pair order, so the first
+    # failing pair raises first and the CSV bytes do not depend on the width.
+    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(pairs)))) as pool:
+        scores = list(pool.map(_score_pair, pairs))
     _output_csv(args.csv, [["record_id", "audio_index", "lsd", "gcc_mse"],
                            *scores])
     return EXIT_OK
@@ -255,11 +259,13 @@ def cmd_roundtrip(args) -> int:
                           f"seconds, not {args.timeout}")
     editor = _make_editor(args.editor_spec, args)
     audio = read_stereo(args.audio)
-    if isinstance(editor, OracleEditor) and (  # lsd sees it after round 1
-            (audio.num_samples, audio.sample_rate_hz)
-            != (editor.scene.num_samples, SAMPLE_RATE)):
-        raise SchemaError(f"{args.audio}: not the length and sample rate of "
-                          f"the scene's render")
+    if isinstance(editor, OracleEditor):  # else round 1 would fail on either
+        if ((audio.num_samples, audio.sample_rate_hz)
+                != (editor.scene.num_samples, SAMPLE_RATE)):
+            raise SchemaError(f"{args.audio}: not the length and sample rate "
+                              f"of the scene's render")
+        validate_plan(EditPlan("", (), (Add(args.label),)),
+                      editor.scene.labels).raise_if_invalid()
     result = roundtrip_drift(editor, audio, args.label, rounds=args.rounds)
     rows = [[i, f"{value:.9g}"]
             for i, value in enumerate(result.lsd_per_round, 1)]

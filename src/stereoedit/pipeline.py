@@ -279,46 +279,25 @@ def _worker(args):
 
 
 @contextmanager
-def process_map(width: int, caller_shares: bool = False):
+def process_map(width: int):
     """A ``map(fn, items)`` over ``width`` processes, yielding results in
     submission order: the builtin ``map`` at a width of 1 or less, else one
-    process pool, shut down when the block exits.
+    process pool of ``width`` workers, shut down when the block exits.
 
-    The pool has ``width`` workers, or, with ``caller_shares``, ``width - 1``
-    that run the first items while this process runs the last
-    ``1 / width`` of them. That saves a fork. The pool alone sends each
-    worker a contiguous ``1 / width`` of the items as one task, so an
-    object the items share is unpickled once per worker, and its caches
-    serve the whole share. Both balance only items of about equal cost.
-    Either way the first failing item in submission order is the one that
-    raises."""
+    Each worker gets a contiguous ``1 / width`` of the items as one task, so
+    an object the items share is unpickled once per worker, and its caches
+    serve the whole share. That balances only items of about equal cost.
+    The first failing item in submission order is the one that raises."""
     if width <= 1:
         yield map
         return
-    with ProcessPoolExecutor(
-            max_workers=width - 1 if caller_shares else width) as pool:
-        if not caller_shares:
-            def chunked_map(fn, items):
-                items = list(items)
-                return pool.map(fn, items,
-                                chunksize=max(1, math.ceil(len(items) / width)))
-
-            yield chunked_map
-            return
-
-        def shared_map(fn, items):
+    with ProcessPoolExecutor(max_workers=width) as pool:
+        def chunked_map(fn, items):
             items = list(items)
-            split = len(items) * (width - 1) // width
-            futures = [pool.submit(fn, item) for item in items[:split]]
-            try:
-                tail = [fn(item) for item in items[split:]]
-            finally:
-                # the pool's items come first, so its failure is the one
-                # raised, even when one of this process's items failed too
-                head = [future.result() for future in futures]
-            return head + tail
+            return pool.map(fn, items,
+                            chunksize=max(1, math.ceil(len(items) / width)))
 
-        yield shared_map
+        yield chunked_map
 
 
 def run_pipeline(config: PipelineConfig, catalog: Catalog | None = None) -> PipelineStats:

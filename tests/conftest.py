@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import settings
@@ -14,18 +15,15 @@ settings.load_profile("stereoedit")
 
 @pytest.fixture
 def opened_pools(monkeypatch):
-    """Every process pool the test opens, counted by a ProcessPoolExecutor
-    subclass patched into the pipeline module."""
-    import stereoedit.pipeline as pl
-
+    """Every process pool the test opens, wherever its class was imported."""
     opened = []
+    init = ProcessPoolExecutor.__init__
 
-    class CountingPool(pl.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(self)
-            super().__init__(*args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        opened.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(pl, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
     return opened
 
 

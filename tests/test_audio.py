@@ -1,4 +1,7 @@
 import io
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -283,3 +286,39 @@ def test_read_wav_rejects_every_strict_prefix(dtype, channels):
     for cut in range(len(whole)):
         with pytest.raises((UnreadableFile, UnsupportedFormat)):
             read_wav(io.BytesIO(whole[:cut]))
+
+
+def test_reads_on_several_threads_each_reject_a_cut_data_chunk():
+    """Each read swaps the process's one warning-filter list; unguarded, a
+    thread can restore the list another thread's read relies on, which
+    then returns the frames before the cut."""
+    cut = _wav_bytes(np.zeros((64, 2), np.int16))[:-4]  # one frame
+    filters = list(warnings.filters)
+    start = threading.Barrier(6)
+    wrong = []
+
+    def read_many():
+        start.wait()
+        for _ in range(2000):
+            try:
+                read_wav(io.BytesIO(cut))
+                wrong.append("returned samples")
+            except UnreadableFile:
+                pass
+            except Exception as exc:  # recorded, as no thread may raise
+                wrong.append(repr(exc))
+
+    t0, switch = time.monotonic(), sys.getswitchinterval()
+    threads = [threading.Thread(target=read_many) for _ in range(6)]
+    sys.setswitchinterval(1e-5)  # more thread switches inside each read
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert time.monotonic() - t0 < 2.0
+    assert wrong == []
+    assert warnings.filters == filters

@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from stereoedit.audio import (AudioBuffer, fit_duration, load_clip,
                               normalize_rms, read_stereo, read_wav, write_wav)
 from stereoedit.catalog import build_catalog
 from stereoedit.cli import main
+from stereoedit.engine import OracleEditor
 from stereoedit.errors import StereoEditError
+from stereoedit.metrics import roundtrip_drift
 from stereoedit.pipeline import (MANIFEST_NAME, PipelineConfig, read_manifest,
                                  run_pipeline, sample_scene, scene_from_json,
                                  scene_to_json)
@@ -287,6 +290,38 @@ def test_roundtrip_rejects_audio_unlike_the_scene_before_an_edit(
     assert edits == [] and not csv_path.exists()
 
 
+def test_roundtrip_oracle_rejects_a_label_its_scene_has_before_an_edit(
+        scene_file, catalog, catalog_root, tmp_path, capsys, monkeypatch):
+    wav, csv_path = tmp_path / "in.wav", tmp_path / "drift.csv"
+    assert main(["render", str(scene_file), str(wav)]) == 0
+    scene = scene_from_json(json.loads(scene_file.read_text()))
+    spare = next(l for l in catalog.labels if l not in scene.labels)
+    want = roundtrip_drift(OracleEditor(scene, catalog=catalog,
+                                        rng=random.Random(3)),
+                           read_stereo(wav), spare, rounds=2)
+    edits, edit = [], cli.OracleEditor.edit
+
+    def counting(self, audio, step):
+        edits.append(step)
+        return edit(self, audio, step)
+
+    monkeypatch.setattr(cli.OracleEditor, "edit", counting)
+    capsys.readouterr()
+    argv = ["--seed", "3", "roundtrip", f"oracle:{scene_file}", str(wav)]
+    options = ["--rounds", "2", "--catalog", str(catalog_root),
+               "--csv", str(csv_path)]
+    label = scene.labels[0]
+    assert main(argv + [label] + options) == 2
+    assert capsys.readouterr().err == (
+        f"error: R4: added label {label!r} duplicates a scene label\n")
+    assert edits == [] and not csv_path.exists()
+    assert main(argv + [spare] + options) == 0  # as before the label check
+    assert capsys.readouterr().out == "".join(
+        f"round {i}: lsd {value:.9g}\n"
+        for i, value in enumerate(want.lsd_per_round, 1))
+    assert len(edits) == 4
+
+
 def test_roundtrip_unknown_editor(tmp_path, scene_file):
     wav = tmp_path / "in.wav"
     main(["render", str(scene_file), str(wav)])
@@ -528,13 +563,21 @@ def _manifest(dataset, pairs):
     return manifest
 
 
-@pytest.mark.parametrize("pairs,pools", [(3, 1), (1, 0), (0, 0)])
-def test_eval_opens_one_pool_for_two_or_more_pairs(
-        dataset, tmp_path, monkeypatch, opened_pools, pairs, pools):
+@pytest.mark.parametrize("pairs", [3, 1, 0])
+def test_eval_scores_on_at_most_width_threads_and_opens_no_pool(
+        dataset, tmp_path, monkeypatch, opened_pools, pairs):
+    threads, score = set(), cli._score_pair
+
+    def recording(pair):
+        threads.add(threading.get_ident())
+        return score(pair)
+
+    monkeypatch.setattr(cli, "_score_pair", recording)
     csv_path = tmp_path / "s.csv"
     assert _eval(_manifest(dataset, pairs), dataset, monkeypatch, 2,
                  csv_path) == 0
-    assert len(opened_pools) == pools
+    assert opened_pools == []
+    assert len(threads) <= min(2, pairs)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "record_id,audio_index,lsd,gcc_mse"
     assert len(lines) == 1 + pairs
@@ -572,6 +615,27 @@ def test_eval_reports_the_first_failing_pair_at_any_width(
     first_failure = row["audio_paths"][min(damage)]
     assert errors[0] == errors[1] == errors[2]
     assert message in errors[0] and first_failure in errors[0]
+
+
+@pytest.mark.parametrize("mismatch", ["100 frames short", "48 kHz"])
+def test_eval_names_a_candidate_of_another_length_or_rate(
+        scored_dataset, tmp_path, monkeypatch, capsys, mismatch):
+    manifest = _manifest(scored_dataset, 3)
+    cand, csv_path = tmp_path / "cand", tmp_path / "s.csv"
+    shutil.copytree(scored_dataset / "audio", cand / "audio")
+    bad = cand / read_manifest(manifest)[0]["audio_paths"][1]
+    rate, data = wavfile.read(bad)
+    if mismatch == "48 kHz":
+        wavfile.write(bad, 48000, data)
+        got = (len(data), 48000)
+    else:
+        wavfile.write(bad, rate, data[:-100])
+        got = (len(data) - 100, rate)
+    assert _eval(manifest, cand, monkeypatch, 2, csv_path) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: {got[0]} samples at {got[1]} Hz, but its reference "
+        f"has {len(data)} at {rate} Hz\n")
+    assert not csv_path.exists()
 
 
 def _write_cut_header(path):

@@ -419,24 +419,6 @@ def test_run_pipeline_opens_at_most_one_pool(tmp_path, monkeypatch,
     assert len(opened_pools) == pools
 
 
-def _pid(_item):
-    return os.getpid()
-
-
-@pytest.mark.parametrize("width,here", [(2, 4), (3, 3)])
-def test_shared_process_map_runs_the_last_items_here(opened_pools, width,
-                                                     here):
-    """Of 7 items, the last ceil(7 / width) run in this process, on every
-    call in the block."""
-    with process_map(width, caller_shares=True) as run:
-        calls = [list(run(_pid, range(7))) for _ in range(2)]
-    for pids in calls:
-        assert pids[-here:] == [os.getpid()] * here
-        assert os.getpid() not in pids[:-here]
-        assert 1 <= len(set(pids[:-here])) <= width - 1
-    assert len(opened_pools) == 1
-
-
 def _slow_pid(_item):
     time.sleep(0.02)  # long enough for every worker to start on an item
     return os.getpid()
